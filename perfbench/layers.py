@@ -11,8 +11,7 @@ in memory until the run ends.
 :func:`with_self_times` and :func:`summarize` turn the span records into
 the per-layer metrics: busy time, self time (duration minus the part of
 the interval that child spans cover), counts and percentiles;
-:func:`layer_ledger` checks the layer-cost ledger of the blocking path
-(self times + unattributed time = traced wall time).
+:func:`layer_ledger` draws up the layer-cost ledger of the blocking path.
 """
 
 from __future__ import annotations
@@ -255,13 +254,21 @@ def summarize(spans: list[dict]) -> dict[str, dict]:
     return out
 
 
+#: Largest share of a traced window's wall time that no span may explain.
+#: Above it a probe has gone missing (an entry point was bypassed or its
+#: work moved out from under every probe), and the run fails.
+MAX_UNATTRIBUTED_SHARE = 0.25
+
+
 def layer_ledger(spans: list[dict], windows: dict[int, tuple[float, float]]) -> dict:
     """The blocking-path cost ledger of one traced window.
 
     ``windows`` maps each client thread to the wall interval it worked
-    in.  Per thread, the self times of its spans plus the time no
-    top-level span covers must equal the wall time; ``gap_ms`` is what
-    is left over (zero up to clock rounding when the spans nest).
+    in.  Per thread, the wall time splits into the self times of its
+    spans (which sum to the time its top-level spans cover, since spans
+    on one thread nest) and ``unattributed_ms``, the time no span covers.
+    The split is an identity; what can fail is ``unattributed_share``
+    exceeding :data:`MAX_UNATTRIBUTED_SHARE`.
     """
     wall_ms = self_ms = top_ms = 0.0
     for thread, (w0, w1) in windows.items():
@@ -277,5 +284,4 @@ def layer_ledger(spans: list[dict], windows: dict[int, tuple[float, float]]) -> 
         "self_ms": self_ms,
         "unattributed_ms": unattributed_ms,
         "unattributed_share": unattributed_ms / wall_ms if wall_ms else 0.0,
-        "gap_ms": wall_ms - (self_ms + unattributed_ms),
     }

@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload paper_sweep --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload paper_sweep --seed 1 --seconds 15 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with no tracing.
 ``--trace 1`` runs an untraced window and then a traced window of the same
@@ -44,13 +44,10 @@ END_TO_END = {
     "setup_s": "s",
     "peak_rss_mb": "MB",
     "success_rate": "ratio",
-    "ops_per_s": "1/s",
-    "op_s_p50": "s",
-    "reports_per_s": "1/s",
+    "cpu_ms_per_op": "ms",
+    "reports_per_cpu_s": "1/s",
     "f1_mean": "ratio",
     "upload_bits_per_report": "bits",
-    "ack_ms_p50": "ms",
-    "ack_ms_p95": "ms",
 }
 
 
@@ -67,8 +64,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", default=None,
                         help="write the full result (and spans) to this new JSON file")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=JSON",
-                        help="override one workload parameter (smaller smoke runs)")
     return parser.parse_args(argv)
 
 
@@ -98,7 +93,6 @@ def git_commit() -> str:
 def provenance(args, params: dict) -> dict:
     import numpy as np
     from repro.perf.calibrate import calibrate
-    from workloads import NOMINAL_REFERENCE_S
 
     return {
         "workload": args.workload,
@@ -112,27 +106,35 @@ def provenance(args, params: dict) -> dict:
         "platform": platform.platform(),
         "git_commit": git_commit(),
         "calibration": calibrate().to_dict(),
-        "nominal_reference_s": NOMINAL_REFERENCE_S,
     }
 
 
-def end_to_end(window, setup_times: list[float], workload) -> dict:
-    """The end-to-end metrics; times in reference seconds."""
-    from layers import percentile
-
-    busy_s = window.busy_s
+def end_to_end(window, setup_cpu_s: list[float], workload) -> dict:
+    """The end-to-end metrics; times are CPU seconds of the system."""
     self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "setup_s": statistics.median(setup_times),
+        "setup_s": statistics.median(setup_cpu_s),
         "peak_rss_mb": self_kb / 1024.0 + workload.child_peak_rss_mb,
         "success_rate": (window.attempted - window.failed) / window.attempted,
-        "ops_per_s": len(window.op_s) / busy_s,
-        "op_s_p50": statistics.median(window.op_s),
-        "reports_per_s": window.reports / busy_s,
+        "cpu_ms_per_op": window.cpu_s * 1e3 / len(window.op_s),
+        "reports_per_cpu_s": window.reports / window.cpu_s,
         "f1_mean": statistics.fmean(window.f1),
         "upload_bits_per_report": window.upload_bits / max(window.reports, 1),
-        "ack_ms_p50": percentile(window.ack_ms, 50),
-        "ack_ms_p95": percentile(window.ack_ms, 95),
+    }
+
+
+def wall_clock(window, setup_wall_s: list[float]) -> dict:
+    """Wall-clock figures of an untraced window (no bounds: see README)."""
+    from layers import percentile
+
+    return {
+        "wall.setup_s": statistics.median(setup_wall_s),
+        "wall.ops_per_s": len(window.op_s) / window.busy_s,
+        "wall.op_s_p50": statistics.median(window.op_s),
+        "wall.reports_per_s": window.reports / window.busy_s,
+        "wall.ack_ms_p50": percentile(window.ack_ms, 50),
+        "wall.ack_ms_p99": percentile(window.ack_ms, 99),
+        "wall.cpu_per_wall": window.cpu_s / window.busy_s,
     }
 
 
@@ -151,8 +153,8 @@ def per_layer(trace_records: list[dict], traced, untraced) -> dict:
     gateway = traced.layers.get("gateway", {})
     cluster = traced.layers.get("cluster", {})
     routed = cluster.get("routed", [0, 0])
-    per_op_untraced = untraced.busy_s / max(untraced.attempted, 1)
-    per_op_traced = traced.busy_s / max(traced.attempted, 1)
+    per_op_untraced = untraced.cpu_s / max(untraced.attempted, 1)
+    per_op_traced = traced.cpu_s / max(traced.attempted, 1)
     metrics = {
         "datasets.load_ms": get(s, "datasets.load", "busy_ms"),
         "experiments.cell_ms_p50": get(w, "experiments.cell", "p50_ms"),
@@ -192,7 +194,6 @@ def per_layer(trace_records: list[dict], traced, untraced) -> dict:
         "cluster.batches_routed.0": float(routed[0]),
         "cluster.batches_routed.1": float(routed[1]),
         "bench.check_ms": get(w, "bench.check", "busy_ms"),
-        "bench.reference_ms": get(w, "bench.reference", "busy_ms") + get(w, "bench.pause", "busy_ms"),
         "trace.spans": float(len(window_spans)),
         "trace.span_errors": float(sum(v["errors"] for v in w.values())),
         "unattributed_ms": ledger["unattributed_ms"],
@@ -216,21 +217,13 @@ def main(argv=None) -> int:
         fail(f"--out {args.out} exists; results never overwrite a file")
     import_program()
     sys.path.insert(0, str(HERE))
-    from layers import LayerTrace, percentile
-    from workloads import WORKLOADS, reference_time, speed_factors
+    from layers import MAX_UNATTRIBUTED_SHARE, LayerTrace
+    from workloads import WORKLOADS, cpu_ticks, steal_share
 
     if args.workload not in WORKLOADS:
         fail(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}")
     cls = WORKLOADS[args.workload]
     params = dict(cls.DEFAULTS)
-    for item in args.set:
-        key, _, value = item.partition("=")
-        if key not in params:
-            fail(f"--set {key}: not a parameter of {args.workload}")
-        try:
-            params[key] = json.loads(value)
-        except ValueError:
-            fail(f"--set {key}: {value!r} is not JSON")
 
     # SIGTERM unwinds through the finally blocks, which stop the shards.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
@@ -239,24 +232,22 @@ def main(argv=None) -> int:
     workload = cls(params, run_dir)
     trace = None
     try:
-        setup_times, raw_setup_times = [], []
-        ref = reference_time()
+        setup_wall_s, setup_cpu_s = [], []
         for i in range(N_SETUPS):
             workload.teardown()
             if args.trace and i == N_SETUPS - 1:
                 trace = LayerTrace()
                 trace.install()
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), workload.system_cpu_s()
             workload.setup(args.seed, telemetry=bool(args.trace))
-            elapsed = time.perf_counter() - t0
-            after = reference_time()
-            raw_setup_times.append(elapsed)
-            setup_times.append(elapsed * speed_factors([ref, after])[0])
-            ref = after
+            setup_cpu_s.append(workload.system_cpu_s() - c0)
+            setup_wall_s.append(time.perf_counter() - t0)
         if args.trace:
             trace.restore()
         workload.prepare_checks()
+        ticks = cpu_ticks()
         untraced = workload.run_window(args.seconds)
+        steal = steal_share(ticks, cpu_ticks())
         windows = [untraced]
         if args.trace:
             trace.phase = "traced"
@@ -274,23 +265,22 @@ def main(argv=None) -> int:
         except OSError:
             pass
 
+    wall = wall_clock(untraced, setup_wall_s)
     if not args.trace:
-        metrics = end_to_end(untraced, setup_times, workload)
+        metrics = end_to_end(untraced, setup_cpu_s, workload)
         units = END_TO_END
-        acks = untraced.ack_ms
         detail = {"error_rate": untraced.failed / untraced.attempted,
-                  "ops": len(untraced.op_s), "ack_samples": len(acks),
-                  "ack_ms_p99": percentile(acks, 99), "ack_ms_p99_9": percentile(acks, 99.9),
-                  "busy_s": untraced.busy_s, "raw_busy_s": untraced.raw_busy_s,
-                  "references": len(untraced.refs),
-                  "setup_times_s": setup_times, "raw_setup_times_s": raw_setup_times}
+                  "ops": len(untraced.op_s), "ack_samples": len(untraced.ack_ms),
+                  "busy_s": untraced.busy_s, "cpu_s": untraced.cpu_s,
+                  "steal_share": steal, "setup_cpu_s": setup_cpu_s,
+                  "setup_wall_s": setup_wall_s, **wall}
     else:
         records = trace.records()
         metrics, ledger, layers_detail = per_layer(records, traced, untraced)
+        metrics.update(wall)
         units = per_layer_units()
-        # The ledger must close: self times + unattributed = wall time.
-        if abs(ledger["gap_ms"]) > 1e-3 * max(ledger["wall_ms"], 1.0):
-            traced.fail(f"layer-cost ledger does not close: {ledger}")
+        if ledger["unattributed_share"] > MAX_UNATTRIBUTED_SHARE:
+            traced.fail(f"spans explain too little of the traced window: {ledger}")
         detail = {"ledger": ledger, "layers": layers_detail,
                   "untraced_ops": len(untraced.op_s), "traced_ops": len(traced.op_s)}
 

@@ -2,28 +2,33 @@
 
     python3 perfbench/selftest.py
 
-1. Runs ``run.py`` on a smoke-size version of every workload, untraced and
-   traced, and requires ``correct: true``, no failed operation, every
-   metric of ``BENCHMARK.json`` and a closed layer-cost ledger.
+1. Runs ``run.main`` in this process on a smoke-size version of every
+   workload (its ``DEFAULTS`` overridden by :data:`SMOKE`), untraced and
+   traced, and requires ``correct: true``, no failed operation and every
+   metric of ``BENCHMARK.json``.
 2. Corrupts one output of each workload (a wrong sweep-cell figure, a
    changed round estimate, a flipped heavy hitter) and requires that it is
    reported as a failed operation.
+3. Runs a traced ``gateway_ingest`` with its ``net`` probes removed and
+   requires the layer-cost ledger check to report a failed operation.
 
 Exits 0 when every step holds.  Takes about a minute and a half.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 #: Smoke-size parameter overrides per workload.
 SMOKE = {
@@ -33,23 +38,39 @@ SMOKE = {
 }
 
 
-def run_cli(workload: str, trace: int) -> dict:
-    command = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-               "--seed", "3", "--seconds", "1", "--trace", str(trace)]
-    for key, value in SMOKE[workload].items():
-        command += ["--set", f"{key}={json.dumps(value)}"]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    if proc.returncode != 0:
-        raise AssertionError(f"{workload} trace={trace} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+@contextlib.contextmanager
+def smoke_size(workload: str):
+    """Run ``workload`` at its :data:`SMOKE` size while in the block."""
+    from workloads import WORKLOADS
+
+    cls = WORKLOADS[workload]
+    defaults = cls.DEFAULTS
+    cls.DEFAULTS = {**defaults, **SMOKE[workload]}
+    try:
+        yield
+    finally:
+        cls.DEFAULTS = defaults
 
 
-def check_cli() -> list[str]:
+def run_main(workload: str, trace: int) -> dict:
+    """The result line of one smoke-size ``run.main`` call."""
+    import run
+
+    out = io.StringIO()
+    with smoke_size(workload), contextlib.redirect_stdout(out):
+        code = run.main(["--workload", workload, "--seed", "3",
+                         "--seconds", "1", "--trace", str(trace)])
+    if code != 0:
+        raise AssertionError(f"{workload} trace={trace} exited {code}")
+    return json.loads(out.getvalue().strip().splitlines()[-1])
+
+
+def check_smoke_runs() -> list[str]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     problems = []
     for workload in SMOKE:
         for trace, section in ((0, "end_to_end"), (1, "per_layer")):
-            result = run_cli(workload, trace)
+            result = run_main(workload, trace)
             names = [m["name"] for m in spec[section]]
             if not result["correct"] or result["failed"] or result["attempted"] < 1:
                 problems.append(f"{workload} trace={trace}: {result}")
@@ -59,8 +80,23 @@ def check_cli() -> list[str]:
     return problems
 
 
+def check_missing_probe() -> list[str]:
+    """Without its ``net`` probes, ``gateway_ingest`` must fail the ledger."""
+    import layers
+
+    probes = layers.PROBES
+    layers.PROBES = tuple(p for p in probes if not p[3].startswith("net."))
+    try:
+        result = run_main("gateway_ingest", 1)
+    finally:
+        layers.PROBES = probes
+    if result["failed"] < 1 or result["metrics"]["unattributed_share"]["value"] <= layers.MAX_UNATTRIBUTED_SHARE:
+        return [f"gateway_ingest without net probes: ledger check passed: {result}"]
+    print(f"ok   gateway_ingest without net probes: ledger check failed {result['failed']} operation")
+    return []
+
+
 def check_tamper() -> list[str]:
-    sys.path[:0] = [str(ROOT / "src"), str(HERE)]
     from workloads import ClusterDiscovery, GatewayIngest, PaperSweep, Window
 
     problems = []
@@ -129,7 +165,7 @@ def expect(label: str, window, *, failed: int) -> list[str]:
 
 
 def main() -> int:
-    problems = check_cli() + check_tamper()
+    problems = check_smoke_runs() + check_tamper() + check_missing_probe()
     for problem in problems:
         print(f"FAIL {problem}")
     return 1 if problems else 0

@@ -7,7 +7,9 @@ closed-loop operations for a time window in :meth:`~Workload.run_window`,
 checking each operation's output.  An operation is a sweep cell
 (``paper_sweep``), a replayed round (``gateway_ingest``) or a full
 discovery (``cluster_discovery``); a wrong output is a failed operation.
-Window times are converted to reference seconds (:func:`speed_factors`).
+Each operation is timed twice: in wall seconds, and in CPU seconds of the
+system under test (:meth:`Workload.system_cpu_s`: this process and the
+gateway processes it launched).
 
 ``tamper`` (used by ``selftest.py`` only) corrupts one output before it
 is checked, to prove that the checks catch it.
@@ -18,8 +20,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 import shutil
-import statistics
 import threading
 import time
 from dataclasses import dataclass, field
@@ -45,68 +47,42 @@ from repro.trie.candidate_domain import CandidateDomain
 HERE = Path(__file__).resolve().parent
 DIGESTS_PATH = HERE / "paper_sweep_digests.json"
 
-# ---------------------------------------------------------------------- #
-# Reference seconds
-# ---------------------------------------------------------------------- #
-#: Seconds the reference kernel takes on the machine that defines one
-#: reference second.
-NOMINAL_REFERENCE_S = 2.0e-3
-
-_REF_ARRAY = np.random.default_rng(20251017).integers(0, 512, 16384)
-_REF_LIST = _REF_ARRAY[:6000].tolist()
+CLK_TCK = os.sysconf("SC_CLK_TCK")
 
 
-def _reference_kernel() -> None:
-    """Fixed interpreter, dict and numpy work of the benchmark's own."""
-    counts: dict = {}
-    for value in _REF_LIST:
-        counts[value] = counts.get(value, 0) + 1
-    total = 0
-    for i in range(12000):
-        total += i * i % 7
-    np.sort(_REF_ARRAY)
+def process_cpu_s(pid: int) -> float:
+    """CPU seconds (user + system, every thread) that process ``pid`` has used."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / CLK_TCK
 
 
-def reference_time() -> float:
-    """Seconds the reference kernel takes right now (median of nine)."""
-    times = []
-    for _ in range(9):
-        t0 = time.perf_counter()
-        _reference_kernel()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def steal_share(before: list[int], after: list[int]) -> float:
+    """Share of the machine's CPU time stolen by the host between two
+    :func:`cpu_ticks` readings."""
+    total = sum(after) - sum(before)
+    return (after[7] - before[7]) / total if total > 0 else 0.0
 
 
-def speed_factors(refs: list[float]) -> list[float]:
-    """Reference seconds per wall second of each interval between
-    consecutive reference timings.
-
-    The machine's speed drifts by tens of percent over seconds when
-    neighbours load it.  Scaling each measured interval by the speed
-    around it cancels most of that drift.  One timing of the kernel is
-    itself noisy, so the timings are smoothed with a running median of
-    five first.  The kernel is not program code, so a change to the
-    program cannot move it.
-    """
-    smooth = [statistics.median(refs[max(0, i - 2): i + 3]) for i in range(len(refs))]
-    return [2.0 * NOMINAL_REFERENCE_S / (a + b) for a, b in zip(smooth, smooth[1:])]
+def cpu_ticks() -> list[int]:
+    """The machine-wide CPU time counters of ``/proc/stat``."""
+    with open("/proc/stat", encoding="ascii") as fp:
+        return [int(x) for x in fp.readline().split()[1:9]]
 
 
 @dataclass
 class Window:
     """What one measurement window did and how much of it was right.
 
-    Times are in reference seconds (see :func:`speed_factors`), except
-    ``raw_busy_s``; ``refs`` are the reference timings taken while the
-    program was idle.
+    ``busy_s`` is wall seconds spent in operations and ``cpu_s`` the CPU
+    seconds the system used for them; the benchmark's checks are excluded
+    from both.
     """
 
-    busy_s: float = 0.0  # time spent in operations, checks excluded
-    raw_busy_s: float = 0.0
-    refs: list = field(default_factory=list)
+    busy_s: float = 0.0
+    cpu_s: float = 0.0
     attempted: int = 0
     failed: int = 0
-    op_s: list = field(default_factory=list)
+    op_s: list = field(default_factory=list)  # wall seconds per operation
     ack_ms: list = field(default_factory=list)
     reports: int = 0
     upload_bits: int = 0
@@ -180,6 +156,18 @@ class Workload:
 
     def prepare_checks(self) -> None:
         """Compute the references outputs are checked against (untimed)."""
+
+    def system_cpu_s(self) -> float:
+        """CPU seconds used so far by this process and its shard processes.
+
+        CPU time leaves out the time the host's other tenants take from
+        this machine and the time the system waits, so it is steadier than
+        wall time on a shared machine.
+        """
+        total = time.process_time()
+        if self.handle is not None:
+            total += sum(process_cpu_s(shard.process.pid) for shard in self.handle.shards)
+        return total
 
     def run_window(self, seconds: float, trace=None) -> Window:
         raise NotImplementedError
@@ -312,35 +300,26 @@ class PaperSweep(Workload):
         self.reference_source = "stored" if self.reference is not None else "first_pass"
 
     def _pass(self, settings, window: Window, trace, *, check_digests=True) -> None:
-        """One ``run_sweep`` call; per-cell results are checked as they finish.
-
-        The reference kernel prices the machine before each mechanism run
-        and after the last one.
-        """
+        """One ``run_sweep`` call; per-cell results are checked as they finish."""
         outcomes = []
         rounds_ms: list[float] = []
-        refs = []
-        overhead_s = [0.0]  # reference kernels and checks
+        overhead = [0.0, 0.0]  # wall and CPU seconds of the checks
 
         def observe_run(run):
             def wrapper(mech, dataset, rng=None):
-                t_ref = time.perf_counter()
-                with _bench_span(trace, "bench.reference"):
-                    refs.append(reference_time())
-                first_round = len(rounds_ms)
                 t0 = time.perf_counter()
                 result = run(mech, dataset, rng)
-                t1 = time.perf_counter()
+                t1, c1 = time.perf_counter(), time.process_time()
                 with _bench_span(trace):
                     accountant = result.accountant
                     outcomes.append({
                         "run_s": t1 - t0,
-                        "rounds": (first_round, len(rounds_ms)),
                         "ldp_ok": accountant.satisfies_ldp(),
                         "reports": accountant.n_reports(),
                         "upload_bits": result.upload_bits(),
                     })
-                overhead_s[0] += (t0 - t_ref) + (time.perf_counter() - t1)
+                overhead[0] += time.perf_counter() - t1
+                overhead[1] += time.process_time() - c1
                 return result
             return wrapper
 
@@ -355,23 +334,11 @@ class PaperSweep(Workload):
 
         with Patch(core_base.FederatedMechanism, "run", observe_run), \
                 Patch(core_estimation.DirectRoundRunner, "run_round", time_round):
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), self.system_cpu_s()
             sweep = experiments.run_sweep(settings)
-            elapsed = time.perf_counter() - t0
-        refs.append(reference_time())
-        window.refs += refs
-        factors = speed_factors(refs)
-        runs_s = sum(o["run_s"] for o in outcomes)
-        # The sweep's own work between mechanism runs, at the mean speed.
-        between_s = elapsed - overhead_s[0] - runs_s
-        window.raw_busy_s += elapsed - overhead_s[0]
-        window.busy_s += between_s * statistics.fmean(factors) + sum(
-            o["run_s"] * f for o, f in zip(outcomes, factors)
-        )
-        for outcome, factor in zip(outcomes, factors):
-            outcome["run_s"] *= factor
-            lo, hi = outcome["rounds"]
-            window.ack_ms.extend(x * factor for x in rounds_ms[lo:hi])
+            window.busy_s += time.perf_counter() - t0 - overhead[0]
+            window.cpu_s += self.system_cpu_s() - c0 - overhead[1]
+        window.ack_ms += rounds_ms
         records = sweep.records
         if self.tamper is not None:
             records = self.tamper(records)
@@ -428,7 +395,6 @@ class GatewayIngest(Workload):
         "clients": 2,
         "top_k": 10,
         "warmup_rounds": 2,
-        "slice_s": 1.0,
     }
 
     def setup(self, seed: int, *, telemetry: bool) -> None:
@@ -506,7 +472,7 @@ class GatewayIngest(Workload):
         self.sent["reports"] += self.params["users_per_round"]
         self.sent["upload_bits"] += stream["bits"]
 
-    def _tally(self, window: Window, stream, elapsed: float, estimate, factor: float) -> None:
+    def _tally(self, window: Window, stream, elapsed: float, estimate) -> None:
         """Count one window round and check its estimate."""
         self._count_sent(stream)
         if self.tamper is not None:
@@ -514,7 +480,7 @@ class GatewayIngest(Workload):
         ref = stream["reference"]
         counts = np.asarray(estimate.estimated_counts)[: stream["n_candidates"]]
         window.attempted += 1
-        window.op_s.append(elapsed * factor)
+        window.op_s.append(elapsed)
         window.f1.append(f1_score(top_k(counts, self.params["top_k"]), stream["truth_top"]))
         window.reports += self.params["users_per_round"]
         window.upload_bits += stream["bits"]
@@ -526,77 +492,38 @@ class GatewayIngest(Workload):
             window.fail(f"{stream['broadcast'].party}: estimate differs from in-process server")
 
     def run_window(self, seconds: float, trace=None) -> Window:
-        """Closed-loop rounds from every client, in slices of ``slice_s``.
-
-        Between slices the clients pause at a barrier while the reference
-        kernel prices the idle machine; each slice is scaled by the speed
-        around it.
-        """
+        """Closed-loop rounds from every client until ``seconds`` have passed."""
         window = Window()
-        n_slices = max(1, round(seconds / self.params["slice_s"]))
-        barrier = threading.Barrier(len(self.connections) + 1)
-        control = {"stop": False, "end": 0.0, "slice": 0}
         records = [[] for _ in self.connections]
-        marks = [[len(conn.latencies)] for conn in self.connections]
+        marks = [len(conn.latencies) for conn in self.connections]
         errors = []
-
-        def pause():
-            with _bench_span(trace, "bench.pause"):
-                barrier.wait()
+        ends = []
 
         def client(i):
             conn, stream = self.connections[i], self.streams[i]
             t0 = time.perf_counter()
             try:
-                pause()
-                while not control["stop"]:
-                    while time.perf_counter() < control["end"]:
-                        with _bench_span(trace, "bench.round"):
-                            records[i].append((control["slice"], *self._round(conn, stream)))
-                    marks[i].append(len(conn.latencies))
-                    pause()
-                    pause()
-            except threading.BrokenBarrierError:
-                pass
+                while time.perf_counter() < deadline:
+                    records[i].append(self._round(conn, stream))
             except Exception as exc:  # noqa: BLE001 - reported as a failure
                 errors.append(f"{type(exc).__name__}: {exc}")
-                barrier.abort()
-            window.threads[threading.get_ident()] = (t0, time.perf_counter())
+            ends.append(time.perf_counter())
+            window.threads[threading.get_ident()] = (t0, ends[-1])
 
         before = scrape(self.handle.addresses)
         threads = [threading.Thread(target=client, args=(i,)) for i in range(len(self.connections))]
+        start, cpu_start = time.perf_counter(), self.system_cpu_s()
+        deadline = start + seconds
         for t in threads:
             t.start()
-        window.refs.append(reference_time())
-        walls = []
-        released = None  # start of a slice the clients are running
-        try:
-            for index in range(n_slices):
-                control["slice"] = index
-                control["end"] = time.perf_counter() + self.params["slice_s"]
-                barrier.wait()  # release the clients
-                released = time.perf_counter()
-                barrier.wait()  # every client finished its last round
-                walls.append(time.perf_counter() - released)
-                released = None
-                window.refs.append(reference_time())
-            control["stop"] = True
-            barrier.wait()
-        except threading.BrokenBarrierError:  # a client failed mid-slice
-            if released is not None:
-                walls.append(time.perf_counter() - released)
-                window.refs.append(reference_time())
         for t in threads:
             t.join()
-        factors = speed_factors(window.refs)
-        window.raw_busy_s = sum(walls)
-        window.busy_s = sum(w * f for w, f in zip(walls, factors))
+        window.cpu_s = self.system_cpu_s() - cpu_start
+        window.busy_s = max(ends) - start
         for i, stream in enumerate(self.streams):
-            for index, elapsed, estimate in records[i]:
-                self._tally(window, stream, elapsed, estimate, factors[index])
-            latencies = self.connections[i].latencies
-            for index, (lo, hi) in enumerate(zip(marks[i], marks[i][1:])):
-                window.ack_ms.extend(x * 1e3 * factors[index] for x in latencies[lo:hi])
+            for elapsed, estimate in records[i]:
+                self._tally(window, stream, elapsed, estimate)
+            window.ack_ms.extend(x * 1e3 for x in self.connections[i].latencies[marks[i]:])
         for message in errors:
             window.attempted += 1
             window.fail(message)
@@ -678,18 +605,16 @@ class ClusterDiscovery(Workload):
         )
 
     def _discovery(self, window: Window, trace, case) -> None:
-        """One checked discovery of ``case``, then a reference timing."""
-        t0 = time.perf_counter()
+        """One checked discovery of ``case``."""
+        t0, c0 = time.perf_counter(), self.system_cpu_s()
         result = self._run(case)
         elapsed = time.perf_counter() - t0
-        with _bench_span(trace, "bench.reference"):
-            window.refs.append(reference_time())
+        window.cpu_s += self.system_cpu_s() - c0
         with _bench_span(trace):
             if self.tamper is not None:
                 result = self.tamper(result)
             window.attempted += 1
             window.op_s.append(elapsed)
-            window.raw_busy_s += elapsed
             window.reports += result.accountant.n_reports()
             window.upload_bits += result.upload_bits()
             window.f1.append(
@@ -708,7 +633,6 @@ class ClusterDiscovery(Workload):
         window = Window()
         conns: list = []
         barrier_ms: list = []
-        acks: list = []  # send-to-ack seconds of each discovery
         routed = [0] * self.params["shards"]
 
         def capture(init):
@@ -718,24 +642,18 @@ class ClusterDiscovery(Workload):
             return wrapper
 
         before = scrape(self.handle.addresses)
-        window.refs.append(reference_time())
         start = time.perf_counter()
         with Patch(cluster_coordinator.ClusterConnection, "__init__", capture):
             while True:  # whole cycles over the inputs, at least one
                 cycle_start = time.perf_counter()
                 for case in self.inputs:
-                    with _bench_span(trace, "bench.discovery"):
-                        self._discovery(window, trace, case)
-                    acks.append(self._collect(conns, barrier_ms, routed))
+                    self._discovery(window, trace, case)
+                    window.ack_ms.extend(x * 1e3 for x in self._collect(conns, barrier_ms, routed))
                 cycle = time.perf_counter() - cycle_start
                 if time.perf_counter() - start + cycle > seconds:
                     break
         window.threads[threading.get_ident()] = (start, time.perf_counter())
-        factors = speed_factors(window.refs)
-        window.op_s = [x * f for x, f in zip(window.op_s, factors)]
         window.busy_s = sum(window.op_s)
-        for latencies, factor in zip(acks, factors):
-            window.ack_ms.extend(x * 1e3 * factor for x in latencies)
         after = scrape(self.handle.addresses)
         window.layers["gateway"] = gateway_delta(before, after)
         window.layers["cluster"] = {"merge_barrier_ms": float(sum(barrier_ms)), "routed": routed}
