@@ -2,7 +2,7 @@
 
 Stands up in-process shard gateways (1 then 2 — the cheapest honest
 scaling probe) and drives each topology with the same
-:func:`~repro.net.loadgen.run_loadgen` workload through
+:func:`~repro.cluster.loadgen.run_loadgen` workload through
 :class:`~repro.cluster.coordinator.ClusterConnection` routing, recording
 per shard count:
 
@@ -31,7 +31,7 @@ import os
 from pathlib import Path
 
 from repro.net.gateway import start_gateway
-from repro.net.loadgen import run_loadgen
+from repro.cluster.loadgen import run_loadgen
 from repro.perf.calibrate import effective_cores
 from repro.perf.gate import ARTIFACT_SCHEMAS
 

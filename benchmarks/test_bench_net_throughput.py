@@ -2,7 +2,7 @@
 
 Stands up an :class:`~repro.net.gateway.AggregationGateway` on an
 ephemeral localhost port and drives it with
-:func:`~repro.net.loadgen.run_loadgen` at several connection counts,
+:func:`~repro.cluster.loadgen.run_loadgen` at several connection counts,
 recording per connection count:
 
 * ``reports_per_sec`` — end-to-end throughput (client perturb + encode +
@@ -25,7 +25,7 @@ import os
 from pathlib import Path
 
 from repro.net.gateway import start_gateway
-from repro.net.loadgen import run_loadgen
+from repro.cluster.loadgen import run_loadgen
 from repro.perf.gate import ARTIFACT_SCHEMAS
 
 #: Reports per (connection, round) and rounds per connection: sized so the

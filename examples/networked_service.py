@@ -11,11 +11,14 @@ Three acts:
    in-process service execution and once over a live localhost gateway
    (:func:`repro.net.run_over_network`); the heavy hitters, the estimates
    *and the exact wire-bit totals* must match — the network layer adds
-   transport, never semantics.
-2. **Load generation** — :func:`repro.net.run_loadgen` drives concurrent
-   client pools against the gateway and reports throughput plus batch
-   latency percentiles (the `benchmarks/test_bench_net_throughput.py`
-   measurement, at example scale).
+   transport, never semantics.  The client side is the same
+   :class:`~repro.cluster.ClusterCoordinator` a shard cluster uses: one
+   gateway is a 1-shard cluster, which estimates itself.
+2. **Load generation** — :func:`repro.cluster.run_loadgen` drives
+   concurrent client pools against the gateway and reports throughput
+   plus batch latency percentiles (the
+   `benchmarks/test_bench_net_throughput.py` measurement, at example
+   scale).
 3. **Backpressure on display** — the same load through a deliberately
    tiny credit budget: everything still completes, just slower, because
    clients block on acknowledgements instead of overwhelming the server.
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 import argparse
 
+from repro.cluster import run_loadgen
 from repro.core.config import MechanismConfig
 from repro.core.tap import TAPMechanism
 from repro.datasets.registry import load_dataset
 from repro.experiments import SMOKE_PRESET
-from repro.net import run_loadgen, run_over_network, start_gateway
+from repro.net import run_over_network, start_gateway
 from repro.service.server import run_in_service_mode
 
 

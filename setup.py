@@ -30,6 +30,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={"yaml": ["PyYAML"], "test": ["pytest", "pytest-benchmark"]},
+    extras_require={"yaml": ["PyYAML"], "test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

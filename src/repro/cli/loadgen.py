@@ -1,7 +1,7 @@
 """``repro loadgen`` — drive simulated client load against a gateway.
 
 Streams full frequency-oracle rounds from N concurrent client pools
-(:func:`repro.net.loadgen.run_loadgen`) and prints throughput and batch
+(:func:`repro.cluster.loadgen.run_loadgen`) and prints throughput and batch
 latency percentiles with exact wire-bit accounting:
 
 * ``--connect HOST:PORT`` targets an already-running gateway
@@ -186,8 +186,8 @@ def _resolve_params(args: argparse.Namespace, spec) -> dict:
 
 def cmd(args: argparse.Namespace) -> int:
     from repro.experiments.spec import SpecError, load_loadgen_spec, load_scenario_spec
-    from repro.net import run_loadgen, start_gateway
-    from repro.net.client import GatewayConnection
+    from repro.cluster import ClusterConnection, run_loadgen
+    from repro.net import start_gateway
     from repro.service.server import ServiceError
 
     spec = None
@@ -251,18 +251,12 @@ def cmd(args: argparse.Namespace) -> int:
             raise CLIError(str(exc)) from exc
         if args.shutdown and args.connect is not None:
             try:
-                if "," in address:
-                    from repro.cluster.coordinator import ClusterConnection
-
-                    with ClusterConnection(
-                        address,
-                        ring_seed=params.get("ring_seed", 0),
-                        n_vnodes=params.get("ring_vnodes"),
-                    ) as cluster_connection:
-                        cluster_connection.shutdown_cluster()
-                else:
-                    with GatewayConnection(address) as connection:
-                        connection.shutdown_gateway()
+                with ClusterConnection(
+                    address,
+                    ring_seed=params.get("ring_seed", 0),
+                    n_vnodes=params.get("ring_vnodes"),
+                ) as connection:
+                    connection.shutdown_cluster()
             except (ConnectionError, OSError):
                 pass  # gateway already gone — the goal state
             except Exception as exc:  # noqa: BLE001 - refusal/odd reply

@@ -4,7 +4,7 @@
 document (the wire protocol's ``metrics`` control op, answered with a
 ``FRAME_STATS`` frame), schema-validates it, and prints a human summary;
 ``--json`` / ``-o FILE`` emit the raw document instead.  A
-comma-separated address scrapes a whole cluster: the coordinator's own
+comma-separated shard list scrapes a whole cluster: the coordinator's own
 registry plus every shard's document, each validated.
 
 Scraping is read-only and safe mid-round: the gateway serialises the
@@ -70,20 +70,14 @@ def _render_document(document: dict, *, indent: str = "") -> list[str]:
 
 
 def cmd(args: argparse.Namespace) -> int:
-    from repro.net.client import GatewayConnection
+    from repro.cluster import ClusterConnection
     from repro.obs.registry import validate_metrics_document
     from repro.service.server import ServiceError
 
     address = str(args.address)
     try:
-        if "," in address:
-            from repro.cluster.coordinator import ClusterConnection
-
-            with ClusterConnection(address, timeout=args.timeout) as conn:
-                document = conn.metrics()
-        else:
-            with GatewayConnection(address, timeout=args.timeout) as conn:
-                document = conn.metrics()
+        with ClusterConnection(address, timeout=args.timeout) as conn:
+            document = conn.metrics()
     except (OSError, EOFError, ServiceError) as exc:
         raise CLIError(f"cannot scrape {address}: {exc}") from exc
 

@@ -1,26 +1,28 @@
-"""Cluster coordinator: consistent-hash routing and the round-close barrier.
+"""Cluster coordinator: the one client path to one gateway or N shards.
 
-Two layers, mirroring :mod:`repro.net.client`:
+Two layers:
 
-* :class:`ClusterConnection` — the :class:`~repro.net.client.GatewayConnection`
-  of a *cluster*: one logical round fans out into a physical sub-round on
-  every shard gateway, report batches route to the shard the
-  :class:`~repro.cluster.ring.HashRing` assigns them, and
-  :meth:`ClusterConnection.finalize` runs the round-close **barrier** —
-  drain every shard, collect each shard's raw
+* :class:`ClusterConnection` — the client of a list of shard gateways
+  (:class:`~repro.net.client.GatewayConnection` each): one logical round
+  fans out into a physical sub-round on every shard gateway, report
+  batches route to the shard the :class:`~repro.cluster.ring.HashRing`
+  assigns them, and :meth:`ClusterConnection.finalize` runs the
+  round-close **barrier** — drain every shard, collect each shard's raw
   :class:`~repro.service.server.ExportedShardState`, merge the exact int64
   counts with the :class:`~repro.service.shards.LevelShard` algebra, and
   estimate **once** via the same
   :func:`~repro.service.server.finalize_estimate` the single server calls.
-* :class:`ClusterCoordinator` — the
-  :class:`~repro.net.client.RemoteAggregationServer` of a cluster: the
-  same server protocol (``open_round`` / ``ingest_batch`` /
+  A single address is the ordinary 1-shard case: finalize, stats and
+  metrics then pass straight through to the one gateway, which estimates
+  itself (no export barrier, no extra round trip).
+* :class:`ClusterCoordinator` — the server-protocol face of a
+  :class:`ClusterConnection` (``open_round`` / ``ingest_batch`` /
   ``finalize_round`` / ``drain_messages`` / ``shutdown``), so
   :class:`~repro.service.server.ServiceRoundRunner` and every mechanism
-  run over an N-shard cluster unchanged.
+  run over a gateway or an N-shard cluster unchanged.
 
-**Bit-identity.**  The accounting is *logical*, exactly like PR 5 treated
-frame headers as pure transport: the coordinator logs **one**
+**Bit-identity.**  The accounting is *logical*, just as the network layer
+treats frame headers as pure transport: the coordinator logs **one**
 ``service_round_open`` message at the canonical broadcast encoding's bits
 even though N physical broadcasts go out (shard fan-out is transport, not
 protocol), and every report batch is logged at its exact canonical wire
@@ -32,14 +34,17 @@ transcripts, wire-bit totals — to the single-gateway and in-memory runs
 (``tests/test_cluster_equivalence.py``).
 
 **Failure taxonomy** (structured :class:`~repro.service.server.ServiceError`
-codes, branchable like the PR 5 codes):
+codes, branchable like every other service error code):
 
-* ``shard_unavailable`` — a shard gateway died or stopped answering
-  (socket timeouts bound every read: never a hang);
+* ``shard_unavailable`` — a shard gateway of a multi-shard cluster died or
+  stopped answering (socket timeouts bound every read: never a hang); a
+  lone gateway's transport errors surface unchanged, as from a
+  :class:`~repro.net.client.GatewayConnection`;
 * ``ring_version_mismatch`` — the ring changed between round open and the
   barrier, so routing can no longer be trusted;
-* ``shard_mismatch`` — a shard's exported state disagrees with the
-  logical round (identity fields or accounting totals).
+* ``shard_mismatch`` — a shard's accounting of the round broadcast or its
+  exported state disagrees with the logical round (identity fields or
+  accounting totals).
 """
 
 from __future__ import annotations
@@ -50,11 +55,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.ldp.base import EstimationResult
+from repro.federation.messages import Message, MessageDirection
+from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.ldp.registry import make_oracle
-from repro.net.client import GatewayConnection, RemoteAggregationServer, parse_address
+from repro.net.client import GatewayConnection, parse_address
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
-from repro.service.protocol import RoundBroadcast, encode_broadcast, wire_bits
+from repro.service.protocol import (
+    ReportBatch,
+    RoundBroadcast,
+    decode_report_batch,
+    encode_broadcast,
+    encode_report_batch,
+    wire_bits,
+)
 from repro.service.server import ExportedShardState, ServiceError, finalize_estimate
 
 
@@ -102,12 +115,14 @@ class _ClusterRound:
 
 
 class ClusterConnection:
-    """Synchronous client of an N-shard gateway cluster.
+    """Synchronous client of one gateway or an N-shard gateway cluster.
 
     The :class:`~repro.net.client.GatewayConnection` surface —
     ``open_round`` / ``send_batch`` / ``drain`` / ``finalize`` /
-    ``stats`` / ``latencies`` — over a list of shard gateways, plus the
-    cluster-only :meth:`shutdown_cluster`.
+    ``stats`` / ``metrics`` / ``latencies`` — over a list of shard
+    gateways, plus :meth:`shutdown_cluster`.  With one address the
+    connection is a plain gateway client: :meth:`finalize`, :meth:`stats`
+    and :meth:`metrics` pass straight through to that gateway.
 
     Parameters
     ----------
@@ -116,8 +131,8 @@ class ClusterConnection:
         shard gateway.  Order defines shard indices on the ring.
     timeout:
         Socket timeout for every shard connection; a stuck shard
-        surfaces as a ``shard_unavailable`` :class:`ServiceError`,
-        never a hang.
+        surfaces as a ``shard_unavailable`` :class:`ServiceError` (a lone
+        gateway as ``socket.timeout``), never a hang.
     op_timeout:
         Per-operation deadline shared by all reads of one shard
         operation (see :class:`~repro.net.client.GatewayConnection`).
@@ -175,17 +190,16 @@ class ClusterConnection:
         self._next_round_id = 0
         try:
             for shard, address in enumerate(self.addresses):
-                try:
-                    self._connections.append(
-                        GatewayConnection(
-                            address,
-                            timeout=self.timeout,
-                            op_timeout=self.op_timeout,
-                            tracer=self.tracer,
-                        )
+                self._connections.append(
+                    self._on_shard(
+                        shard,
+                        GatewayConnection,
+                        address,
+                        timeout=self.timeout,
+                        op_timeout=self.op_timeout,
+                        tracer=self.tracer,
                     )
-                except (OSError, EOFError) as exc:
-                    raise self._unavailable(shard, exc) from exc
+                )
         except BaseException:
             self.close()
             raise
@@ -199,13 +213,17 @@ class ClusterConnection:
             code="shard_unavailable",
         )
 
-    def _on_shard(self, shard: int, fn, *args):
+    def _on_shard(self, shard: int, fn, *args, **kwargs):
         """Run one shard operation, mapping transport death to the
-        structured ``shard_unavailable`` code.  Service errors the shard
-        itself raises (the error-frame path) pass through untouched."""
+        structured ``shard_unavailable`` code that names the shard.  A lone
+        gateway has no shard to name: its transport errors pass through,
+        like service errors the shard itself raises (the error-frame
+        path)."""
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except (OSError, EOFError) as exc:
+            if self.n_shards == 1:
+                raise
             raise self._unavailable(shard, exc) from exc
 
     def _round(self, round_id: int) -> _ClusterRound:
@@ -322,7 +340,8 @@ class ClusterConnection:
     def finalize(self, round_id: int) -> EstimationResult:
         """The round-close barrier: collect, validate, merge, estimate once.
 
-        Drains and exports every shard's raw sub-round state, validates
+        With one shard this is the gateway's own finalize.  Otherwise it
+        drains and exports every shard's raw sub-round state, validates
         each against the logical round (identity fields *and* the exact
         batch/bit totals the coordinator accounted), merges the int64
         counts with the commutative shard algebra, and produces the
@@ -342,6 +361,11 @@ class ClusterConnection:
         # states export, so a half-failed barrier must not be retried
         # against already-released shards.
         round_.is_open = False
+        if self.n_shards == 1:
+            # A lone gateway holds the whole round: it estimates itself.
+            return self._on_shard(
+                0, self._connections[0].finalize, round_.shard_round_ids[0]
+            )
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span(
@@ -425,7 +449,11 @@ class ClusterConnection:
         ``upload_bits`` sums to the logical total (each batch lands on
         exactly one shard); ``broadcast_bits`` is **physical** — every
         shard broadcasts every round — so it is N× the logical figure.
+        A lone gateway answers with its own counters, non-summable ones
+        (``credits_per_connection``) included.
         """
+        if self.n_shards == 1:
+            return self._on_shard(0, self._connections[0].stats)
         shards = [
             self._on_shard(shard, conn.stats)
             for shard, conn in enumerate(self._connections)
@@ -448,8 +476,11 @@ class ClusterConnection:
 
         The coordinator's own snapshot rides under ``"metrics"`` (so the
         document validates like any other); each shard's full wire-scraped
-        document is listed under ``"shards"`` in address order.
+        document is listed under ``"shards"`` in address order.  A lone
+        gateway answers with its own document.
         """
+        if self.n_shards == 1:
+            return self._on_shard(0, self._connections[0].metrics)
         shards = [
             self._on_shard(shard, conn.metrics)
             for shard, conn in enumerate(self._connections)
@@ -464,12 +495,11 @@ class ClusterConnection:
     def shutdown_cluster(self) -> None:
         """Gracefully stop every shard gateway (already-dead shards are
         fine: shutting a cluster down twice should not fail)."""
-        for shard, conn in enumerate(self._connections):
+        for conn in self._connections:
             try:
-                self._on_shard(shard, conn.shutdown_gateway)
-            except ServiceError as exc:
-                if exc.code != "shard_unavailable":
-                    raise
+                conn.shutdown_gateway()
+            except (OSError, EOFError):
+                pass  # already gone: the goal state
 
     def close(self) -> None:
         for conn in self._connections:
@@ -485,17 +515,22 @@ class ClusterConnection:
         self.close()
 
 
-class ClusterCoordinator(RemoteAggregationServer):
-    """An :class:`~repro.service.server.AggregationServer` backed by a cluster.
+class ClusterCoordinator:
+    """An :class:`~repro.service.server.AggregationServer` living elsewhere.
 
-    The server-protocol face of :class:`ClusterConnection` — everything
-    :class:`~repro.net.client.RemoteAggregationServer` does (client-side
-    wire-bit message log, lazy connection so instances pickle into
-    process-backend workers, canonical-bits verification at round open)
-    with the single-gateway connection swapped for the cluster one.
-    ``config.gateway`` holding a comma-separated shard list is what routes
-    a mechanism here (:meth:`repro.core.base.FederatedMechanism.
-    _make_round_runner`).
+    Implements the slice of the server interface the service round runner
+    and the mechanism base class use, executing each operation over a
+    :class:`ClusterConnection` to one gateway or N shards (established
+    lazily, so instances pickle into process-backend workers).  The
+    wire-bit message log is maintained client-side, operation for
+    operation like the in-memory server's — same kinds, same order, same
+    exact bit counts — which is what makes a networked mechanism run
+    transcript-identical to service mode.  It can log locally without
+    trusting the network because the codecs are canonical: the bytes it
+    sends are the bytes the gateways account, and the connection checks
+    every shard's broadcast accounting at round open.  Every
+    ``execution_mode="network"`` run gets one per party
+    (:meth:`repro.core.base.FederatedMechanism._make_round_runner`).
     """
 
     def __init__(
@@ -509,34 +544,132 @@ class ClusterCoordinator(RemoteAggregationServer):
         telemetry: MetricsRegistry | None = None,
         tracer=None,
     ):
-        cluster = parse_cluster_addresses(addresses)
-        super().__init__(",".join(cluster), timeout=timeout)
-        self.shard_addresses = cluster
+        self.shard_addresses = parse_cluster_addresses(addresses)
+        self.address = ",".join(self.shard_addresses)
+        self.timeout = float(timeout)
         self.op_timeout = None if op_timeout is None else float(op_timeout)
         self.ring_seed = int(ring_seed)
         self.n_vnodes = n_vnodes
         self.telemetry = telemetry
         self.tracer = tracer
-
-    def _connect(self) -> ClusterConnection:
-        return ClusterConnection(
-            self.shard_addresses,
-            timeout=self.timeout,
-            op_timeout=self.op_timeout,
-            ring_seed=self.ring_seed,
-            n_vnodes=self.n_vnodes,
-            telemetry=self.telemetry,
-            tracer=self.tracer,
-        )
+        self._connection: ClusterConnection | None = None
+        self._messages: list[Message] = []
+        self._upload_bits = 0
+        self._broadcast_bits = 0
 
     def __getstate__(self) -> dict:
-        # Registries and tracers hold locks/file handles — they stay with
-        # the process that created them; a worker that unpickles this
-        # coordinator reconnects without telemetry.
-        state = super().__getstate__()
+        # Sockets don't pickle (a worker reconnects lazily), and registries
+        # and tracers hold locks/file handles — they stay with the process
+        # that created them; a worker that unpickles this coordinator
+        # reconnects without telemetry.
+        state = self.__dict__.copy()
+        state["_connection"] = None
         state["telemetry"] = None
         state["tracer"] = None
         return state
+
+    def _conn(self) -> ClusterConnection:
+        if self._connection is None:
+            self._connection = ClusterConnection(
+                self.shard_addresses,
+                timeout=self.timeout,
+                op_timeout=self.op_timeout,
+                ring_seed=self.ring_seed,
+                n_vnodes=self.n_vnodes,
+                telemetry=self.telemetry,
+                tracer=self.tracer,
+            )
+        return self._connection
+
+    # ------------------------------------------------------------------ #
+    # Round lifecycle (the AggregationServer slice ServiceRoundRunner uses)
+    # ------------------------------------------------------------------ #
+    def open_round(
+        self, *, party: str, level: int, oracle: FrequencyOracle, domain
+    ) -> int:
+        round_id, bits = self._conn().open_round(
+            RoundBroadcast(
+                party=party,
+                level=int(level),
+                oracle_name=oracle.name,
+                epsilon=oracle.epsilon,
+                domain_size=int(domain.size),
+                prefixes=tuple(domain.prefixes),
+            )
+        )
+        self._broadcast_bits += bits
+        self._messages.append(
+            Message(
+                direction=MessageDirection.SERVER_TO_PARTY,
+                party=party,
+                kind="service_round_open",
+                payload_bits=bits,
+                level=int(level),
+            )
+        )
+        return round_id
+
+    def ingest(self, round_id: int, payload: bytes) -> int:
+        """Pipeline one already-encoded wire batch into a remote round.
+
+        Mirrors :meth:`AggregationServer.ingest`, decoding the payload
+        locally so the message log carries the same party/level the
+        in-memory server would have recorded.
+        """
+        return self._send_payload(round_id, decode_report_batch(payload), payload)
+
+    def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
+        """Encode one batch, pipeline it, and log it exactly like the server.
+
+        The ack (and with it any structured server error) surfaces at the
+        latest on :meth:`finalize_round` — batches are fire-and-forget up
+        to the credit budget, which is what keeps upload throughput off
+        the round-trip time.
+        """
+        return self._send_payload(round_id, batch, encode_report_batch(batch))
+
+    def _send_payload(self, round_id: int, batch: ReportBatch, payload: bytes) -> int:
+        bits = wire_bits(payload)
+        self._conn().send_batch(round_id, payload)
+        self._upload_bits += bits
+        self._messages.append(
+            Message(
+                direction=MessageDirection.PARTY_TO_SERVER,
+                party=batch.party,
+                kind="report_batch",
+                payload_bits=bits,
+                level=batch.level,
+            )
+        )
+        return batch.n_users
+
+    def finalize_round(self, round_id: int) -> EstimationResult:
+        return self._conn().finalize(round_id)
+
+    # ------------------------------------------------------------------ #
+    # Accounting (client-side mirror of the in-memory server's)
+    # ------------------------------------------------------------------ #
+    @property
+    def messages(self) -> list[Message]:
+        return list(self._messages)
+
+    def drain_messages(self) -> list[Message]:
+        messages, self._messages = self._messages, []
+        return messages
+
+    def upload_bits(self) -> int:
+        return self._upload_bits
+
+    def broadcast_bits(self) -> int:
+        return self._broadcast_bits
+
+    def shutdown(self) -> None:
+        """Close this client's connection (the gateways keep serving)."""
+        if self._connection is not None:
+            try:
+                self._connection.close()
+            finally:
+                self._connection = None
 
     def shutdown_cluster(self) -> None:
         """Gracefully stop every shard gateway, then drop the connection."""
@@ -550,10 +683,9 @@ class ClusterCoordinator(RemoteAggregationServer):
 def run_over_cluster(mechanism, dataset, addresses, rng=None):
     """Re-run a federated mechanism over an N-shard gateway cluster.
 
-    The cluster twin of :func:`~repro.net.client.run_over_network` (which
-    it delegates to — a comma-separated gateway address *is* cluster
-    mode): for a fixed seed the result is bit-identical to single-gateway
-    and in-memory service runs.
+    ``addresses`` may be a list: it is joined into the one gateway address
+    :func:`~repro.net.client.run_over_network` takes.  For a fixed seed the
+    result is bit-identical to single-gateway and in-memory service runs.
     """
     from repro.net.client import run_over_network
 

@@ -1,9 +1,10 @@
-"""Multiprocess load generation against a live aggregation gateway.
+"""Multiprocess load generation against a live gateway or shard cluster.
 
 :func:`run_loadgen` drives ``connections`` independent client pools — each
-on its own :class:`~repro.net.client.GatewayConnection`, fanned out over an
-execution backend (:mod:`repro.engine`; ``"process"`` gives true
-multi-core clients, the realistic load shape) — through full
+on its own :class:`~repro.cluster.coordinator.ClusterConnection` (one
+gateway is the 1-shard case), fanned out over an execution backend
+(:mod:`repro.engine`; ``"process"`` gives true multi-core clients, the
+realistic load shape) — through full
 frequency-oracle rounds against a gateway, and aggregates:
 
 * **throughput** — end-to-end reports/second across all pools (perturb +
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.coordinator import ClusterConnection, parse_cluster_addresses
 from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.engine import get_backend
 from repro.ldp.registry import make_oracle
-from repro.net.client import GatewayConnection
 from repro.net.framing import WireFormatError
 from repro.obs.registry import (
     METRICS_SCHEMA,
@@ -79,34 +80,6 @@ class _PoolTask:
     adaptive: ControllerConfig | None = None
     telemetry: bool = False
     trace: bool = False
-
-
-def _open_connection(
-    address: str,
-    *,
-    timeout: float,
-    ring_seed: int = 0,
-    ring_vnodes: int | None = None,
-    telemetry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-):
-    """One client connection: a comma-separated address is a shard cluster.
-
-    Lazy cluster import — :mod:`repro.net` loads this module eagerly, and
-    the cluster layer sits on top of it, not under it.
-    """
-    if "," in str(address):
-        from repro.cluster.coordinator import ClusterConnection
-
-        return ClusterConnection(
-            address,
-            timeout=timeout,
-            ring_seed=ring_seed,
-            n_vnodes=ring_vnodes,
-            telemetry=telemetry,
-            tracer=tracer,
-        )
-    return GatewayConnection(str(address), timeout=timeout, tracer=tracer)
 
 
 def _run_round(task: _PoolTask, pool: ClientPool, domain, connection, round_seed) -> dict:
@@ -170,11 +143,11 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
     tracer = Tracer() if task.trace else None
 
     def _open():
-        return _open_connection(
+        return ClusterConnection(
             task.address,
             timeout=task.timeout,
             ring_seed=task.ring_seed,
-            ring_vnodes=task.ring_vnodes,
+            n_vnodes=task.ring_vnodes,
             telemetry=telemetry,
             tracer=tracer,
         )
@@ -383,11 +356,11 @@ def run_loadgen(
     Parameters
     ----------
     address:
-        ``HOST:PORT`` of a listening gateway — or a **comma-separated
-        list** of them, which drives a shard cluster: every pool gets a
-        :class:`~repro.cluster.coordinator.ClusterConnection` routing its
-        batches over the hash ring (``ring_seed`` / ``ring_vnodes``) and
-        merging at the round-close barrier.
+        ``HOST:PORT`` of a listening gateway, or a comma-separated list of
+        shard gateways.  Every pool gets a
+        :class:`~repro.cluster.coordinator.ClusterConnection`; over several
+        shards it routes batches over the hash ring (``ring_seed`` /
+        ``ring_vnodes``) and merges at the round-close barrier.
     dataset / scale / dataset_seed:
         Registry dataset (name or a loaded
         :class:`~repro.datasets.base.FederatedDataset`) whose parties
@@ -506,10 +479,9 @@ def run_loadgen(
         if isinstance(faults, (dict, list, tuple)):
             faults = fault_profile_from_dict(faults, source="<loadgen faults>")
         fault_chain = as_chain(faults)
-        shard_addresses = [part.strip() for part in str(address).split(",")]
         proxies = [
             FaultProxy(shard_address, fault_chain.shifted(index))
-            for index, shard_address in enumerate(shard_addresses)
+            for index, shard_address in enumerate(parse_cluster_addresses(address))
         ]
         task_address = ",".join(proxy.address for proxy in proxies)
 
@@ -536,7 +508,7 @@ def run_loadgen(
         )
         for name, items in pools
     ]
-    n_shards = str(address).count(",") + 1
+    n_shards = len(parse_cluster_addresses(address))
 
     engine = get_backend(backend, max_workers)
     start = time.perf_counter()
@@ -587,8 +559,8 @@ def run_loadgen(
     gateway_stats = None
     if include_gateway_stats:
         # The probe asks the real gateway, never the (now closed) proxies.
-        with _open_connection(
-            address, timeout=timeout, ring_seed=ring_seed, ring_vnodes=ring_vnodes
+        with ClusterConnection(
+            address, timeout=timeout, ring_seed=ring_seed, n_vnodes=ring_vnodes
         ) as probe:
             gateway_stats = probe.stats()
             if telemetry_doc is not None:

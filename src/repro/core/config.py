@@ -96,13 +96,14 @@ class MechanismConfig:
         modes require ``simulation_mode="per_user"`` — there are no
         individual reports to stream in aggregate mode.
     gateway:
-        ``HOST:PORT`` of the aggregation gateway serving the rounds;
-        required by (and only meaningful for)
-        ``execution_mode="network"``.  A **comma-separated list** of
-        addresses names a shard cluster (:mod:`repro.cluster`): rounds
-        fan out over every shard through consistent-hash routing and
-        merge at the round-close barrier, still bit-identical to the
-        single-gateway run.
+        ``HOST:PORT`` of the aggregation gateway serving the rounds, or a
+        comma-separated list of shard gateways; required by (and only
+        meaningful for) ``execution_mode="network"``.  Either way the
+        rounds run through one client path
+        (:class:`~repro.cluster.coordinator.ClusterCoordinator`): a single
+        gateway is a 1-shard cluster that estimates itself, while N shards
+        take consistent-hash routing and merge at the round-close
+        barrier, still bit-identical to the single-gateway run.
     report_batch_size:
         Upper bound on the number of reports perturbed/ingested at a time.
         ``None`` keeps the in-memory path one-shot and lets service runs

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.utils.validation import check_positive
 
@@ -119,7 +118,8 @@ def drift_allowance(
         if idx >= n:
             break
         delta = anchor_freq - freqs[idx]
-        prob = float(norm.cdf(-delta / (sigma * math.sqrt(2.0))))
+        # Φ(−x) = erfc(x / √2) / 2 with x = δ / (σ√2).
+        prob = 0.5 * math.erfc(delta / (sigma * math.sqrt(2.0)) / math.sqrt(2.0))
         expectation += x * prob
     return min(float(k), expectation)
 

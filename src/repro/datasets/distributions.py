@@ -9,8 +9,9 @@ over ``n_items`` ranks, and sample user items from such a vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive
@@ -45,7 +46,9 @@ def poisson_frequencies(n_items: int, lam: float) -> np.ndarray:
     check_positive("n_items", n_items)
     check_positive("lam", lam)
     ranks = np.arange(n_items, dtype=np.float64)
-    weights = stats.poisson.pmf(ranks, mu=float(lam))
+    lam = float(lam)
+    log_factorials = np.array([math.lgamma(r + 1.0) for r in ranks])
+    weights = np.exp(ranks * math.log(lam) - log_factorials - lam)
     weights = weights + 1e-12
     return weights / weights.sum()
 

@@ -507,7 +507,7 @@ class LoadgenSpec:
         return dict(self.gateway)
 
     def loadgen_kwargs(self) -> dict:
-        """Keyword arguments for :func:`repro.net.loadgen.run_loadgen`.
+        """Keyword arguments for :func:`repro.cluster.loadgen.run_loadgen`.
 
         Spec keys map one-to-one except ``load.backend/max_workers/seed``,
         which keep their :func:`run_loadgen` parameter names.

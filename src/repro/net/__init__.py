@@ -14,10 +14,11 @@ bytes on TCP:
   :func:`start_gateway` hosts it on a daemon thread for synchronous
   callers;
 * :mod:`repro.net.client` — the synchronous :class:`GatewayConnection`
-  and :class:`RemoteAggregationServer` (a drop-in server proxy with
-  client-side exact wire accounting), plus :func:`run_over_network`;
-* :mod:`repro.net.loadgen` — :func:`run_loadgen`, the multiprocess load
-  generator measuring throughput and batch-latency percentiles.
+  (one TCP connection to one gateway), plus :func:`run_over_network`.
+
+The client path built on these — the server proxy, shard routing and the
+load generator — lives one layer up, in :mod:`repro.cluster`, where one
+gateway is simply a 1-shard cluster; nothing here imports it.
 
 The headline invariant (``tests/test_net_equivalence.py``): for a fixed
 seed, a discovery run over a live gateway is **bit-identical** — per-round
@@ -26,12 +27,7 @@ estimates and exact wire-bit totals — to
 transport, never semantics.
 """
 
-from repro.net.client import (
-    GatewayConnection,
-    RemoteAggregationServer,
-    parse_address,
-    run_over_network,
-)
+from repro.net.client import GatewayConnection, parse_address, run_over_network
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_BROADCAST_REQUEST,
@@ -58,7 +54,6 @@ from repro.net.gateway import (
     run_gateway_forever,
     start_gateway,
 )
-from repro.net.loadgen import LoadgenReport, run_loadgen
 
 __all__ = [
     "AggregationGateway",
@@ -73,9 +68,7 @@ __all__ = [
     "FrameError",
     "GatewayConnection",
     "GatewayHandle",
-    "LoadgenReport",
     "OversizeFrameError",
-    "RemoteAggregationServer",
     "decode_estimate",
     "decode_metrics_frame",
     "encode_estimate",
@@ -86,7 +79,6 @@ __all__ = [
     "parse_address",
     "split_frame_kind",
     "run_gateway_forever",
-    "run_loadgen",
     "run_over_network",
     "start_gateway",
 ]

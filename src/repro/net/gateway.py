@@ -17,12 +17,10 @@ client connections:
   count vectors — never report buffers — cross back to the accumulator,
   which merges them via
   :meth:`~repro.service.server.AggregationServer.ingest_summary` on one
-  thread so totals never race.  ``columnar_decode=False`` falls back to
-  shipping decoded batches into
-  :meth:`~repro.service.server.AggregationServer.ingest_decoded`; both
-  paths are bit-identical in estimates, transcripts and accounting
-  (counts are exact integers), which
-  ``tests/test_columnar_equivalence.py`` pins;
+  thread so totals never race.  Counts are exact integers, so estimates,
+  transcripts and accounting are bit-identical to an in-process
+  :class:`~repro.service.server.AggregationServer` fed the same batches,
+  which ``tests/test_columnar_equivalence.py`` pins;
 * **admission control** — frames above ``max_frame_bytes`` are refused on
   their 5-byte header alone (the body is never read); a global
   ``max_inflight_batches`` semaphore bounds decode memory — when it is
@@ -47,7 +45,7 @@ sizes, in-flight decode memory, domain allocations tied to broadcast
 size), while rounds deliberately have no connection ownership — any
 connection may stream into or finalize any round.  That is load-bearing:
 a process-backend client pickles its
-:class:`~repro.net.client.RemoteAggregationServer` into workers, which
+:class:`~repro.cluster.coordinator.ClusterCoordinator` into workers, which
 reconnect and legitimately finish rounds their parent's connection
 opened.
 """
@@ -80,11 +78,10 @@ from repro.net.framing import (
 )
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
 from repro.obs.trace import SpanContext, Tracer
-from repro.service.columnar import BatchSummary, summarize_report_payload
+from repro.service.columnar import summarize_report_payload
 from repro.service.protocol import (
     WireFormatError,
     decode_broadcast,
-    decode_report_batch,
     wire_bits,
 )
 from repro.service.server import AggregationServer, ServiceError
@@ -192,12 +189,6 @@ class AggregationGateway:
         Whether a ``{"op": "shutdown"}`` control message stops the
         gateway (operator convenience for scripted runs; disable for
         long-lived servers).
-    columnar_decode:
-        When True (the default), decode workers summarise each batch to
-        its ``O(domain_size)`` count vector and the accumulator only
-        merges counts; when False, workers return decoded report batches
-        and the accumulator ingests them (the reference path the
-        equivalence tests compare against).
     metrics:
         A :class:`~repro.obs.registry.MetricsRegistry` to instrument into
         (default: the gateway creates its own).  The registry is shared
@@ -228,7 +219,6 @@ class AggregationGateway:
         max_inflight_batches: int = DEFAULT_MAX_INFLIGHT_BATCHES,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         allow_shutdown: bool = True,
-        columnar_decode: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         trace_log: str | None = None,
@@ -243,7 +233,6 @@ class AggregationGateway:
         self.max_inflight_batches = int(max_inflight_batches)
         self.max_frame_bytes = int(max_frame_bytes)
         self.allow_shutdown = bool(allow_shutdown)
-        self.columnar_decode = bool(columnar_decode)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._owns_tracer = tracer is None and trace_log is not None
         self.tracer = tracer if tracer is not None else (
@@ -532,7 +521,7 @@ class AggregationGateway:
             # Round-state errors precede codec errors (matching the
             # in-memory server), and a batch for a dead round never costs
             # the engine a decode.  A racing finalize on the accumulator
-            # thread is re-checked authoritatively inside ingest_decoded.
+            # thread is re-checked authoritatively inside ingest_summary.
             self.server.check_open(round_id)
         except ServiceError as exc:
             await state.send_error(exc, seq=seq)
@@ -563,8 +552,7 @@ class AggregationGateway:
             else None
         )
         span = self._frame_span("gateway.ingest", frame, round_id=round_id, seq=seq)
-        decode = summarize_report_payload if self.columnar_decode else decode_report_batch
-        future = self._engine.submit(decode, payload)
+        future = self._engine.submit(summarize_report_payload, payload)
         task = asyncio.get_running_loop().create_task(
             self._ingest(state, round_id, seq, wire_bits(payload), future, t0, span)
         )
@@ -575,23 +563,15 @@ class AggregationGateway:
     async def _ingest(self, state, round_id, seq, payload_bits, future, t0=None, span=None) -> None:
         try:
             try:
-                batch = await asyncio.wrap_future(future)
-                if isinstance(batch, BatchSummary):
-                    ingest = partial(
+                summary = await asyncio.wrap_future(future)
+                n = await asyncio.get_running_loop().run_in_executor(
+                    self._accumulator,
+                    partial(
                         self.server.ingest_summary,
                         round_id,
-                        batch,
+                        summary,
                         payload_bits=payload_bits,
-                    )
-                else:
-                    ingest = partial(
-                        self.server.ingest_decoded,
-                        round_id,
-                        batch,
-                        payload_bits=payload_bits,
-                    )
-                n = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, ingest
+                    ),
                 )
             finally:
                 self._inflight.release()

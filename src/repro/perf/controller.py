@@ -263,7 +263,7 @@ class AdaptiveController:
 def resolve_adaptive(adaptive, *, source: str = "<adaptive>") -> ControllerConfig | None:
     """Normalise an ``adaptive`` knob: bool/mapping/config → config or None.
 
-    The one translation used by :func:`repro.net.loadgen.run_loadgen` and
+    The one translation used by :func:`repro.cluster.loadgen.run_loadgen` and
     the loadgen spec: ``False``/``None`` disable, ``True`` means default
     config, a mapping carries :class:`ControllerConfig` fields.
     """

@@ -396,11 +396,10 @@ class AggregationServer:
     ) -> int:
         """Fold an already-decoded batch into a round, accounted at ``payload_bits``.
 
-        The decode/accumulate seam the network gateway uses: frame decoding
-        fans out to engine workers, while the accumulate-and-account step
-        stays on one thread.  ``payload_bits`` must be the exact wire size
-        of the batch's canonical encoding, which keeps the accounting
-        identical to :meth:`ingest`.
+        The accumulate-and-account half of :meth:`ingest`, for callers that
+        already hold the decoded batch.  ``payload_bits`` must be the exact
+        wire size of the batch's canonical encoding, which keeps the
+        accounting identical to :meth:`ingest`.
         """
         round_ = self._round(round_id)
         self._validate_batch(round_, batch)

@@ -126,7 +126,7 @@ class TestClusterVsSingleGateway:
         """One scenario-replay loadgen workload: same seed, same scenario,
         driven once at a single gateway and once at a 2-shard cluster —
         every deterministic measurement must agree."""
-        from repro.net.loadgen import run_loadgen
+        from repro.cluster.loadgen import run_loadgen
         from repro.scenarios.spec import ScenarioSpec
 
         scenario = ScenarioSpec.from_dict(

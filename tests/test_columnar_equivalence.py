@@ -8,8 +8,9 @@ wire-bit accounting.  This module pins that equivalence
 
 * in memory (``AggregationServer.ingest`` vs ``summarize`` +
   ``ingest_summary``), for every registered oracle,
-* over a **live TCP gateway** (``columnar_decode=True`` vs ``False``),
-  for every registered oracle, on the serial and thread decode backends.
+* over a **live TCP gateway** (which always decodes columnar) vs an
+  in-process ``AggregationServer`` fed the same batches, for every
+  registered oracle, on the serial and thread decode backends.
 
 CI runs this module as its own smoke step: a kernel regression that
 breaks bit-identity fails here first, with the oracle named.
@@ -20,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.ldp import available_oracles, make_oracle
 from repro.net import start_gateway
-from repro.net.client import RemoteAggregationServer
 from repro.service.clients import ClientPool
 from repro.service.columnar import BatchSummary, summarize_report_payload
 from repro.service.protocol import encode_report_batch, wire_bits
@@ -129,39 +130,34 @@ def test_summary_counts_equal_decoded_support_counts(oracle_name):
 
 
 # --------------------------------------------------------------------------- #
-# Live gateway: columnar_decode=True ≡ columnar_decode=False
+# Live gateway (columnar) ≡ in-process AggregationServer (decode-then-ingest)
 # --------------------------------------------------------------------------- #
-def _run_round_over(address: str, oracle_name: str):
+def _run_round_on(server, oracle_name: str):
     oracle = make_oracle(oracle_name, epsilon=EPSILON)
-    remote = RemoteAggregationServer(address)
     try:
-        round_id = remote.open_round(
+        round_id = server.open_round(
             party="party-a", level=N_BITS, oracle=oracle, domain=_domain()
         )
         pool = ClientPool(_items(), name="party-a", batch_size=BATCH_SIZE)
         for batch in pool.iter_report_batches(oracle, _domain(), N_BITS, rng=17):
-            remote.ingest_batch(round_id, batch)
-        result = remote.finalize_round(round_id)
-        return result, _transcript(remote), remote.upload_bits(), remote.broadcast_bits()
+            server.ingest_batch(round_id, batch)
+        result = server.finalize_round(round_id)
+        return result, _transcript(server), server.upload_bits(), server.broadcast_bits()
     finally:
-        remote.shutdown()
+        server.shutdown()
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("oracle_name", available_oracles())
 def test_gateway_columnar_equals_fallback(oracle_name, backend):
     workers = 2 if backend == "thread" else None
-    with start_gateway(
-        decode_backend=backend, decode_workers=workers, columnar_decode=False
-    ) as fallback:
-        ref_result, ref_transcript, ref_up, ref_down = _run_round_over(
-            fallback.address, oracle_name
-        )
-    with start_gateway(
-        decode_backend=backend, decode_workers=workers, columnar_decode=True
-    ) as columnar:
-        col_result, col_transcript, col_up, col_down = _run_round_over(
-            columnar.address, oracle_name
+    ref_result, ref_transcript, ref_up, ref_down = _run_round_on(
+        AggregationServer(decode_backend=backend, decode_workers=workers),
+        oracle_name,
+    )
+    with start_gateway(decode_backend=backend, decode_workers=workers) as columnar:
+        col_result, col_transcript, col_up, col_down = _run_round_on(
+            ClusterCoordinator(columnar.address), oracle_name
         )
 
     _assert_results_identical(ref_result, col_result)

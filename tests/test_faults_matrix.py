@@ -18,7 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.profile import FaultProfile
-from repro.net import run_loadgen, start_gateway
+from repro.cluster import run_loadgen
+from repro.net import start_gateway
 from repro.net.framing import (
     FRAME_ESTIMATE,
     FRAME_REPORT_BATCH,

@@ -177,7 +177,11 @@ class TestFaultInjection:
 
 
 class TestStragglerDeadline:
-    """Satellite regression: a straggling shard vs the finalize barrier."""
+    """Satellite regression: a straggling shard vs the finalize barrier.
+
+    The barrier only runs over two or more shards (a lone gateway
+    estimates itself), so the straggler sits in front of one shard of two.
+    """
 
     STRAGGLE = FaultProfile(
         name="straggler", straggle=1.0, straggle_ms=1500.0,
@@ -187,8 +191,10 @@ class TestStragglerDeadline:
     def test_straggler_without_deadline_stretches_the_barrier(self, gateway):
         """The bug shape: per-read socket timeouts never trip on a shard
         that trickles within them, so the barrier just... waits."""
-        with FaultProxy(gateway.address, self.STRAGGLE) as proxy:
-            with ClusterConnection(proxy.address, timeout=10.0) as connection:
+        with FaultProxy(gateway.address, self.STRAGGLE) as proxy, start_gateway() as peer:
+            with ClusterConnection(
+                [proxy.address, peer.address], timeout=10.0
+            ) as connection:
                 round_id, domain = _open_round(connection)
                 connection.send_batch(round_id, _payload(domain))
                 start = time.perf_counter()
@@ -200,9 +206,9 @@ class TestStragglerDeadline:
     def test_op_timeout_surfaces_shard_unavailable_fast(self, gateway):
         """The fix: one deadline over the whole export operation turns the
         straggler into a fast, structured ``shard_unavailable``."""
-        with FaultProxy(gateway.address, self.STRAGGLE) as proxy:
+        with FaultProxy(gateway.address, self.STRAGGLE) as proxy, start_gateway() as peer:
             with ClusterConnection(
-                proxy.address, timeout=10.0, op_timeout=0.4
+                [proxy.address, peer.address], timeout=10.0, op_timeout=0.4
             ) as connection:
                 round_id, domain = _open_round(connection)
                 connection.send_batch(round_id, _payload(domain))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.registry import load_dataset
-from repro.net import run_loadgen, start_gateway
+from repro.cluster import run_loadgen
+from repro.net import start_gateway
 from repro.scenarios.spec import ScenarioSpec
 
 

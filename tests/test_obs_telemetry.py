@@ -9,7 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.ldp.registry import make_oracle
-from repro.net import framing, run_loadgen, start_gateway
+from repro.cluster import run_loadgen
+from repro.net import framing, start_gateway
 from repro.net.client import GatewayConnection
 from repro.obs.registry import METRICS_SCHEMA, validate_metrics_document
 from repro.obs.trace import Tracer
