@@ -671,14 +671,6 @@ class ClusterCoordinator:
             finally:
                 self._connection = None
 
-    def shutdown_cluster(self) -> None:
-        """Gracefully stop every shard gateway, then drop the connection."""
-        conn = self._conn()
-        try:
-            conn.shutdown_cluster()
-        finally:
-            self.shutdown()
-
 
 def run_over_cluster(mechanism, dataset, addresses, rng=None):
     """Re-run a federated mechanism over an N-shard gateway cluster.

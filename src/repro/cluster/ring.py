@@ -29,6 +29,7 @@ story; the merge algebra buys bit-identity.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 
@@ -133,14 +134,15 @@ class HashRing:
     # ------------------------------------------------------------------ #
     # Identity
     # ------------------------------------------------------------------ #
-    @property
+    @functools.cached_property
     def version(self) -> str:
         """Stable fingerprint of the assignment function.
 
         Two rings route identically iff their versions match; the
         coordinator stamps each round with the ring version at open and
         refuses to finalize across a version change
-        (``ring_version_mismatch``).
+        (``ring_version_mismatch``).  Computed once: a ring's parameters
+        never change after construction.
         """
         document = json.dumps(
             {"n_shards": self.n_shards, "seed": self.seed, "n_vnodes": self.n_vnodes},

@@ -15,6 +15,7 @@ faults when not) and the two satellite regressions:
 
 from __future__ import annotations
 
+import socket
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.ldp.registry import make_oracle
 from repro.net import start_gateway
 from repro.net.client import GatewayConnection
 from repro.net.framing import (
+    FRAME_ESTIMATE,
     FRAME_REPORT_BATCH,
     FRAME_ROUND_CONTROL,
     FRAME_SHARD_STATE,
@@ -179,8 +181,9 @@ class TestFaultInjection:
 class TestStragglerDeadline:
     """Satellite regression: a straggling shard vs the finalize barrier.
 
-    The barrier only runs over two or more shards (a lone gateway
-    estimates itself), so the straggler sits in front of one shard of two.
+    The barrier only runs over two or more shards, so the barrier tests put
+    the straggler in front of one shard of two.  A lone gateway estimates
+    itself: there the straggled frame is its ``FRAME_ESTIMATE`` reply.
     """
 
     STRAGGLE = FaultProfile(
@@ -217,6 +220,25 @@ class TestStragglerDeadline:
                     connection.finalize(round_id)
                 elapsed = time.perf_counter() - start
         assert err.value.code == "shard_unavailable"
+        assert elapsed < 1.2  # bounded by op_timeout, not the straggle
+
+    def test_op_timeout_bounds_a_lone_gateway_straggler(self, gateway):
+        """One address is a plain gateway: a straggled estimate reply
+        surfaces as the transport timeout itself, within ``op_timeout``."""
+        straggle = FaultProfile(
+            name="straggler", straggle=1.0, straggle_ms=1500.0,
+            direction="down", kinds=(FRAME_ESTIMATE,),
+        )
+        with FaultProxy(gateway.address, straggle) as proxy:
+            with ClusterConnection(
+                [proxy.address], timeout=10.0, op_timeout=0.4
+            ) as connection:
+                round_id, domain = _open_round(connection)
+                connection.send_batch(round_id, _payload(domain))
+                start = time.perf_counter()
+                with pytest.raises(socket.timeout):
+                    connection.finalize(round_id)
+                elapsed = time.perf_counter() - start
         assert elapsed < 1.2  # bounded by op_timeout, not the straggle
 
     def test_nested_operations_share_the_outer_deadline(self, gateway):
