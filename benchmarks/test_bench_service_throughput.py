@@ -11,22 +11,20 @@ rounds at several batch sizes and records, per (oracle, batch size):
 
 Results persist machine-readably to
 ``benchmarks/results/service_throughput.json`` for the performance
-trajectory.  The OLH entries decode in candidate shards on the engine
-backend selected by ``REPRO_BENCH_BACKEND`` / ``REPRO_BENCH_WORKERS``
-(default: serial), mirroring the sweep benchmarks' knobs.
+trajectory.  The in-process server counts every batch inline, so the
+artifact's ``backend`` / ``max_workers`` fields are always ``"serial"`` /
+``null``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from repro.engine import get_backend
 from repro.ldp.registry import make_oracle
 from repro.perf.gate import ARTIFACT_SCHEMAS
 from repro.service.clients import ClientPool
@@ -45,12 +43,6 @@ BATCH_SIZES = (2_048, 16_384, 65_536)
 WORKLOADS = (("krr", N_USERS), ("oue", 50_000), ("olh", 50_000))
 
 
-def _bench_backend():
-    spec = os.environ.get("REPRO_BENCH_BACKEND") or None
-    workers = os.environ.get("REPRO_BENCH_WORKERS")
-    return spec, get_backend(spec, int(workers) if workers else None)
-
-
 def _batch_buffer_bytes(batch) -> int:
     """In-memory size of one batch's report buffer.
 
@@ -67,13 +59,13 @@ def _batch_buffer_bytes(batch) -> int:
     return int(np.asarray(reports).nbytes)
 
 
-def _run_stream(oracle_name: str, n_users: int, batch_size: int, backend):
+def _run_stream(oracle_name: str, n_users: int, batch_size: int):
     """One full ingestion stream; returns (result, peak_batch_bytes, server)."""
     oracle = make_oracle(oracle_name, epsilon=4.0)
     domain = CandidateDomain.full_domain(DOMAIN_BITS, include_dummy=True)
     items = np.random.default_rng(0).integers(0, 1 << DOMAIN_BITS, size=n_users)
     pool = ClientPool(items, name="bench", batch_size=batch_size)
-    server = AggregationServer(decode_backend=backend if oracle_name == "olh" else None)
+    server = AggregationServer()
 
     round_id = server.open_round(party="bench", level=DOMAIN_BITS, oracle=oracle,
                                  domain=domain)
@@ -85,13 +77,13 @@ def _run_stream(oracle_name: str, n_users: int, batch_size: int, backend):
     return result, peak_batch_bytes, server
 
 
-def _stream_once(oracle_name: str, n_users: int, batch_size: int, backend) -> dict:
+def _stream_once(oracle_name: str, n_users: int, batch_size: int) -> dict:
     # Pass 1 (untimed) runs the identical stream under tracemalloc: it
     # records the true Python-level peak allocation of the configuration
     # AND doubles as the warmup for pass 2 — first-touch page faults and
     # allocator growth otherwise dominate single-batch timings.
     tracemalloc.start()
-    _run_stream(oracle_name, n_users, batch_size, backend)
+    _run_stream(oracle_name, n_users, batch_size)
     tracemalloc_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
@@ -101,7 +93,7 @@ def _stream_once(oracle_name: str, n_users: int, batch_size: int, backend) -> di
     for _ in range(3):
         start = time.perf_counter()
         result, peak_batch_bytes, server = _run_stream(
-            oracle_name, n_users, batch_size, backend
+            oracle_name, n_users, batch_size
         )
         elapsed = min(elapsed, time.perf_counter() - start)
 
@@ -127,12 +119,11 @@ def test_service_ingestion_throughput(calibration):
     the accumulator stays ``O(domain)`` and the report buffer scales with
     the batch, not the population.
     """
-    backend_spec, backend = _bench_backend()
-    entries = []
-    with backend:
-        for oracle_name, n_users in WORKLOADS:
-            for batch_size in BATCH_SIZES:
-                entries.append(_stream_once(oracle_name, n_users, batch_size, backend))
+    entries = [
+        _stream_once(oracle_name, n_users, batch_size)
+        for oracle_name, n_users in WORKLOADS
+        for batch_size in BATCH_SIZES
+    ]
 
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -145,8 +136,8 @@ def test_service_ingestion_throughput(calibration):
     for warning in trend.warnings:
         print(f"\nWARNING (trend): {warning}")
     payload = {
-        "backend": backend_spec or "serial",
-        "max_workers": os.environ.get("REPRO_BENCH_WORKERS"),
+        "backend": "serial",
+        "max_workers": None,
         "domain_size": (1 << DOMAIN_BITS) + 1,
         "entries": entries,
         "trend": trend.to_dict(),

@@ -7,7 +7,9 @@ Three modes:
   :class:`~repro.service.server.AggregationServer` plus one
   :class:`~repro.service.clients.ClientPool` per dataset party, streaming
   ``--rounds`` full frequency-oracle rounds over the length-``--level``
-  prefix domain, printing exact per-round wire-bit accounting;
+  prefix domain, printing exact per-round wire-bit accounting.  The
+  server counts every batch in process, so ``--backend/--workers`` are
+  rejected here;
 * **scenario lab** (``--scenario SPEC``): builds the declarative scenario
   (drift / bursts / churn / skew shift / poisoned reports — see
   ``docs/scenarios.md``), drives it through sliding-window discovery, and
@@ -169,7 +171,7 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
         parser_defaults={
             name: parser.get_default(name)
             for name in RAW_ONLY_FLAGS + SCENARIO_ONLY_FLAGS + LISTEN_ONLY_FLAGS
-            + NOT_LISTEN_FLAGS
+            + NOT_LISTEN_FLAGS + NOT_RAW_FLAGS
         },
     )
     return parser
@@ -193,6 +195,9 @@ LISTEN_ONLY_FLAGS: tuple[str, ...] = (
 #: Flags shared by the raw and scenario modes that a gateway has no use
 #: for (it learns oracle/budget from each broadcast and never perturbs).
 NOT_LISTEN_FLAGS: tuple[str, ...] = ("epsilon", "oracle", "rng")
+#: Execution-engine flags the raw rounds have no use for (the in-process
+#: server counts every batch inline).
+NOT_RAW_FLAGS: tuple[str, ...] = ("backend", "workers")
 
 
 def _explicit_flags(args: argparse.Namespace, names: tuple[str, ...]) -> list[str]:
@@ -355,6 +360,13 @@ def cmd(args: argparse.Namespace) -> int:
             f"{', '.join(ignored)}: scenario-only flag(s); "
             "pass --scenario SPEC to run the scenario lab"
         )
+    engine_flags = _explicit_flags(args, NOT_RAW_FLAGS)
+    if engine_flags:
+        raise CLIError(
+            f"{', '.join(engine_flags)}: not raw-rounds flag(s); the "
+            "in-process server counts every batch inline — there is no "
+            "engine to configure"
+        )
     scale = resolve_scale(args)
     try:
         dataset = load_dataset(args.dataset, scale=scale, seed=args.seed)
@@ -371,8 +383,6 @@ def cmd(args: argparse.Namespace) -> int:
             users_per_round=args.users_per_round,
             top=args.top,
             seed=args.rng,
-            decode_backend=args.backend,
-            decode_workers=args.workers,
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc

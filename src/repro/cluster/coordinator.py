@@ -63,7 +63,6 @@ from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
 from repro.service.protocol import (
     ReportBatch,
     RoundBroadcast,
-    decode_report_batch,
     encode_broadcast,
     encode_report_batch,
     wire_bits,
@@ -609,15 +608,6 @@ class ClusterCoordinator:
         )
         return round_id
 
-    def ingest(self, round_id: int, payload: bytes) -> int:
-        """Pipeline one already-encoded wire batch into a remote round.
-
-        Mirrors :meth:`AggregationServer.ingest`, decoding the payload
-        locally so the message log carries the same party/level the
-        in-memory server would have recorded.
-        """
-        return self._send_payload(round_id, decode_report_batch(payload), payload)
-
     def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
         """Encode one batch, pipeline it, and log it exactly like the server.
 
@@ -626,9 +616,7 @@ class ClusterCoordinator:
         to the credit budget, which is what keeps upload throughput off
         the round-trip time.
         """
-        return self._send_payload(round_id, batch, encode_report_batch(batch))
-
-    def _send_payload(self, round_id: int, batch: ReportBatch, payload: bytes) -> int:
+        payload = encode_report_batch(batch)
         bits = wire_bits(payload)
         self._conn().send_batch(round_id, payload)
         self._upload_bits += bits

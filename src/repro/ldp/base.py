@@ -131,10 +131,9 @@ class FrequencyOracle(abc.ABC):
     ) -> np.ndarray:
         """Add a report batch's support counts into an accumulator.
 
-        The workhorse of the online aggregation service
-        (:mod:`repro.service.shards`): ingesting a stream batch-by-batch
-        never materialises more than one batch of reports, and the
-        accumulator stays ``O(domain_size)``.
+        The chunked ``per_user`` path of :meth:`run`: ingesting a stream
+        batch-by-batch never materialises more than one batch of reports,
+        and the accumulator stays ``O(domain_size)``.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (int(domain_size),):
@@ -142,23 +141,6 @@ class FrequencyOracle(abc.ABC):
                 f"accumulator has shape {counts.shape}, expected ({domain_size},)"
             )
         return counts + self.support_counts(reports, domain_size)
-
-    def accumulate_packed(
-        self, counts: np.ndarray, packed, domain_size: int
-    ) -> np.ndarray:
-        """Add a packed-bit unary batch's support counts into an accumulator.
-
-        Optional protocol method of the columnar hot path
-        (:mod:`repro.service`): ``packed`` is a
-        :class:`~repro.ldp.packed.PackedUnaryReports` aliasing the wire
-        payload.  The base implementation is the bit-identical fallback —
-        unpack to the dense matrix, then :meth:`accumulate` — so any
-        oracle whose report representation is the ``(n, d)`` bit matrix
-        works unchanged; the unary oracles override it with the packed
-        popcount kernel that never materialises the matrix
-        (:func:`repro.ldp.packed.packed_column_counts`).
-        """
-        return self.accumulate(counts, packed.unpack(), domain_size)
 
     def merge_counts(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Combine two support-count accumulators over the same domain.

@@ -23,11 +23,12 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-#: Cap on the number of (candidate, report) hash evaluations held in memory
-#: at once while decoding: one (candidate-chunk × report-chunk) block of
-#: uint64 scratch stays around 2 MiB — cache-resident — no matter how large
-#: the candidate domain or the report batch grows.
-_DECODE_BLOCK_ELEMENTS = 1 << 18
+#: Cap on the number of (candidate, report) hash evaluations per decode
+#: block.  Each hash step allocates about four uint64 temporaries of block
+#: size, so 2^15 elements keep the working set near 1 MiB — resident in a
+#: 2 MiB per-core L2 — no matter how large the candidate domain or the
+#: report batch grows.
+_DECODE_BLOCK_ELEMENTS = 1 << 15
 
 #: Reports per inner decode block; the candidate chunk is derived from it
 #: so the block never exceeds :data:`_DECODE_BLOCK_ELEMENTS` elements.
@@ -94,34 +95,19 @@ class OptimizedLocalHashing(FrequencyOracle):
         """Count, for every candidate, the reports whose hash matches the report.
 
         Decoding is still an exact full scan — O(n · d) hash evaluations, as
-        in the paper's complexity analysis — but vectorised over candidate
-        chunks: a ``(chunk, n)`` block is hashed in one NumPy call instead
-        of one Python-level pass per candidate.
-        """
-        return self.support_counts_range(reports, 0, int(domain_size))
-
-    def support_counts_range(
-        self, reports: tuple[np.ndarray, np.ndarray], start: int, stop: int
-    ) -> np.ndarray:
-        """Exact support counts for the candidate range ``[start, stop)``.
-
-        The unit of sharded decoding: ranges partitioning the domain decode
-        independently (on any execution backend) and concatenate to exactly
-        :meth:`support_counts` of the full domain.
-
-        The scan is blocked over (candidate-chunk × report-chunk) so its
-        uint64 scratch stays cache-resident for any batch size; integer
-        partial sums make the blocking bit-identical to a flat scan.
-        Wire-decoded report views (int64 seed view, small-uint bucket
-        view) are consumed without copies.
+        in the paper's complexity analysis — but vectorised and blocked over
+        (candidate-chunk × report-chunk) so its uint64 scratch stays
+        cache-resident for any domain or batch size; integer partial sums
+        make the blocking bit-identical to a flat scan.  Wire-decoded report
+        views (int64 seed view, small-uint bucket view) are consumed without
+        copies.
         """
         seeds, ys = reports
         seeds = np.asarray(seeds)
         ys = np.asarray(ys)
-        if not 0 <= start <= stop:
-            raise ValueError(f"invalid candidate range [{start}, {stop})")
+        d = int(domain_size)
         d_prime = np.uint64(self.hash_domain_size())
-        counts = np.zeros(stop - start, dtype=np.int64)
+        counts = np.zeros(d, dtype=np.int64)
         n = int(seeds.size)
         if n == 0:
             return counts
@@ -130,17 +116,15 @@ class OptimizedLocalHashing(FrequencyOracle):
         ys_u64 = ys.astype(np.uint64, copy=False)
         r_block = min(n, _DECODE_REPORT_BLOCK)
         c_chunk = max(1, _DECODE_BLOCK_ELEMENTS // r_block)
-        for lo in range(start, stop, c_chunk):
-            hi = min(lo + c_chunk, stop)
+        for lo in range(0, d, c_chunk):
+            hi = min(lo + c_chunk, d)
             cand_mixed = (
                 np.arange(lo, hi, dtype=np.uint64) * _GOLDEN
             )[:, np.newaxis]
-            block_counts = np.zeros(hi - lo, dtype=np.int64)
             for rlo in range(0, n, r_block):
                 rhi = min(rlo + r_block, n)
                 hashed = _mix(seeds_mixed[np.newaxis, rlo:rhi] ^ cand_mixed) % d_prime
-                block_counts += (hashed == ys_u64[rlo:rhi]).sum(axis=1)
-            counts[lo - start : hi - start] = block_counts
+                counts[lo:hi] += (hashed == ys_u64[rlo:rhi]).sum(axis=1)
         return counts
 
     def n_reports(self, reports: tuple[np.ndarray, np.ndarray]) -> int:

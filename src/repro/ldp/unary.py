@@ -3,8 +3,8 @@
 Both unary oracles one-hot encode the user's value into a length-``d``
 bit vector and flip bits independently; they differ only in the keep/flip
 probabilities ``(p, q)``.  Everything mechanical about unary reports —
-sparse perturbation, dense and packed report forms, the packed-domain
-accumulation kernel — lives here so the concrete oracles stay what they
+sparse perturbation, dense and packed report forms, support counting
+over either form — lives here so the concrete oracles stay what they
 are on paper: a pair of probabilities.
 """
 
@@ -61,14 +61,3 @@ class UnaryEncodingOracle(FrequencyOracle):
                 f"expected an (n, {domain_size}) report matrix, got shape {reports.shape}"
             )
         return reports.sum(axis=0).astype(np.int64)
-
-    def accumulate_packed(
-        self, counts: np.ndarray, packed: PackedUnaryReports, domain_size: int
-    ) -> np.ndarray:
-        """Packed-domain accumulation: column counts straight off the bytes."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (int(domain_size),):
-            raise ValueError(
-                f"accumulator has shape {counts.shape}, expected ({domain_size},)"
-            )
-        return counts + self.support_counts(packed, domain_size)

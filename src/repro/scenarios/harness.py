@@ -186,29 +186,28 @@ def run_scenario(
     )
     drift_events = scenario.drift_steps()
     records: list[dict] = []
-    with tracker:
-        for batch in scenario.iter_batches(stream_seed):
-            snapshot = tracker.push(batch.items)
-            if snapshot is None:
-                continue
-            scores = score_series(
-                [(snapshot.step, snapshot.heavy_hitters)],
-                {snapshot.step: batch.true_top_k},
-            )[0]
-            past_events = [s for s in drift_events if s <= snapshot.step]
-            record = {
-                **scores,
-                "window_users": int(snapshot.n_users),
-                "since_drift": snapshot.step - past_events[-1] if past_events else None,
-                "n_poisoned": int(batch.n_poisoned),
-                "upload_bits": int(snapshot.upload_bits),
-                "broadcast_bits": int(snapshot.broadcast_bits),
-                "heavy_hitters": [int(item) for item in snapshot.heavy_hitters],
-                "true_top_k": [int(item) for item in batch.true_top_k],
-            }
-            records.append(record)
-            if store is not None:
-                store.append(record)
+    for batch in scenario.iter_batches(stream_seed):
+        snapshot = tracker.push(batch.items)
+        if snapshot is None:
+            continue
+        scores = score_series(
+            [(snapshot.step, snapshot.heavy_hitters)],
+            {snapshot.step: batch.true_top_k},
+        )[0]
+        past_events = [s for s in drift_events if s <= snapshot.step]
+        record = {
+            **scores,
+            "window_users": int(snapshot.n_users),
+            "since_drift": snapshot.step - past_events[-1] if past_events else None,
+            "n_poisoned": int(batch.n_poisoned),
+            "upload_bits": int(snapshot.upload_bits),
+            "broadcast_bits": int(snapshot.broadcast_bits),
+            "heavy_hitters": [int(item) for item in snapshot.heavy_hitters],
+            "true_top_k": [int(item) for item in batch.true_top_k],
+        }
+        records.append(record)
+        if store is not None:
+            store.append(record)
     events = []
     scored = [(r["step"], r["recall"]) for r in records]
     for event_step in drift_events:

@@ -1,19 +1,17 @@
 """Columnar batch summarisation: wire payload → O(domain) count vector.
 
-The decode fan-out of the network gateway used to ship *decoded report
-objects* from its engine workers back to the accumulator thread.  The
-columnar seam moves the whole decode-and-count step into the worker: a
-worker receives the raw payload buffer, decodes it zero-copy
-(:func:`repro.service.protocol.decode_report_batch`), folds it through
-the oracle's accumulation kernel (packed popcount for unary oracles, the
-blocked hash scan for OLH, ``bincount`` for k-RR), and returns a
-:class:`BatchSummary` — the batch header plus an ``O(domain_size)``
-``int64`` count vector.  What crosses the worker boundary shrinks from
-the report buffer to one count vector per batch, and the single-threaded
-accumulator only merges integers.
+The one way every execution mode counts a report batch: decode the raw
+payload zero-copy (:func:`repro.service.protocol.decode_report_batch`),
+fold it through the oracle's ``support_counts`` kernel (packed popcount
+for unary oracles, the blocked hash scan for OLH, ``bincount`` for k-RR),
+and return a :class:`BatchSummary` — the batch header plus an
+``O(domain_size)`` ``int64`` count vector.  The in-process
+:meth:`~repro.service.server.AggregationServer.ingest` runs it inline; the
+network gateway runs it on its engine workers, so only count vectors —
+never report buffers — cross back to the single-threaded accumulator.
 
-Counts are exact, so summarise-then-merge is bit-identical to
-decode-then-ingest on every backend — the contract
+Counts are exact, so a summary equals the oracle's support counts of the
+decoded batch on every backend — the contract
 ``tests/test_columnar_equivalence.py`` pins for all registered oracles.
 """
 
@@ -36,10 +34,9 @@ from repro.service.protocol import (
 class BatchSummary:
     """One report batch reduced to its header and exact support counts.
 
-    Field-compatible with :class:`~repro.service.protocol.ReportBatch`
-    for round validation (party / level / oracle_name / epsilon /
-    domain_size), which is what lets the server validate summaries and
-    decoded batches with the same code.
+    Carries the :class:`~repro.service.protocol.ReportBatch` header
+    fields the server validates a batch against its round with (party /
+    level / oracle_name / epsilon / domain_size).
     """
 
     party: str

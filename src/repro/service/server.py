@@ -26,19 +26,18 @@ import numpy as np
 
 from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.core.estimation import RoundRunner
-from repro.engine import ExecutionBackend, get_backend
 from repro.federation.messages import Message, MessageDirection
 from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.service.clients import iter_perturbed_batches
+from repro.service.columnar import BatchSummary, summarize_report_payload
 from repro.service.protocol import (
     ReportBatch,
     RoundBroadcast,
-    decode_report_batch,
     encode_broadcast,
     encode_report_batch,
     wire_bits,
 )
-from repro.service.shards import LevelShard, make_shard
+from repro.service.shards import LevelShard
 
 
 #: Structured error codes a :class:`ServiceError` can carry.  The network
@@ -171,16 +170,6 @@ class AggregationServer:
 
     Parameters
     ----------
-    decode_backend:
-        Execution backend (name or instance) for sharded OLH decoding;
-        ``None`` decodes inline.  A name is resolved lazily, once, and the
-        resulting engine is shared by every round's shard; instances are
-        used as-is (their lifecycle stays with the caller).
-    decode_workers:
-        Worker count when resolving a named decode backend.
-    n_decode_shards:
-        Candidate ranges per OLH decode (see
-        :class:`~repro.service.shards.OLHDecodeShard`).
     defense:
         Optional robust-merge policy applied to every round's shard
         (see :meth:`repro.service.shards.LevelShard.effective_counts`).
@@ -217,26 +206,13 @@ class AggregationServer:
     True
     """
 
-    def __init__(
-        self,
-        *,
-        decode_backend: str | ExecutionBackend | None = None,
-        decode_workers: int | None = None,
-        n_decode_shards: int = 8,
-        defense=None,
-        metrics=None,
-    ):
-        self.decode_backend = decode_backend
-        self.decode_workers = decode_workers
-        self.n_decode_shards = n_decode_shards
+    def __init__(self, *, defense=None, metrics=None):
         self.defense = defense
         self.rounds: dict[int, ServiceRound] = {}
         self._messages: list[Message] = []
         self._next_round_id = 0
         self._upload_bits = 0
         self._broadcast_bits = 0
-        self._decode_engine: ExecutionBackend | None = None
-        self._owns_decode_engine = False
         self._bind_metrics(metrics)
 
     def _bind_metrics(self, metrics) -> None:
@@ -261,39 +237,18 @@ class AggregationServer:
         self._m_broadcast_bits = metrics.counter("service_broadcast_bits_total")
 
     def __getstate__(self):
-        # Live executors don't pickle; workers re-resolve the spec lazily
-        # (nested "process" requests degrade to serial there as usual).
-        # Metric instruments carry locks, which don't pickle either: a
-        # copy observes into its own fresh (unbound) state.
+        # Metric instruments carry locks, which don't pickle: a copy
+        # observes into its own fresh (unbound) state.
         state = self.__dict__.copy()
-        state["_decode_engine"] = None
-        state["_owns_decode_engine"] = False
-        if isinstance(state["decode_backend"], ExecutionBackend):
-            state["decode_backend"] = state["decode_backend"].name
         for key in list(state):
             if key == "metrics" or key.startswith("_m_"):
                 state[key] = None
         return state
 
-    def _resolve_decode_engine(self) -> ExecutionBackend | None:
-        if self.decode_backend is None:
-            return None
-        if self._decode_engine is None:
-            if isinstance(self.decode_backend, ExecutionBackend):
-                self._decode_engine = self.decode_backend
-            else:
-                self._decode_engine = get_backend(
-                    self.decode_backend, self.decode_workers
-                )
-                self._owns_decode_engine = True
-        return self._decode_engine
-
     def shutdown(self) -> None:
-        """Release a decode engine this server resolved from a name."""
-        if self._owns_decode_engine and self._decode_engine is not None:
-            self._decode_engine.shutdown()
-        self._decode_engine = None
-        self._owns_decode_engine = False
+        """Nothing to release in process; the remote server twin
+        (:class:`~repro.cluster.coordinator.ClusterCoordinator`) closes
+        its connection here."""
 
     # ------------------------------------------------------------------ #
     # Round lifecycle
@@ -310,18 +265,7 @@ class AggregationServer:
         """
         round_id = self._next_round_id
         self._next_round_id += 1
-        # Only OLH decoding shards; resolving the engine lazily here keeps
-        # every other oracle from ever materialising a worker pool.
-        decode_engine = (
-            self._resolve_decode_engine() if oracle.name == "olh" else None
-        )
-        shard = make_shard(
-            oracle,
-            domain.size,
-            decode_backend=decode_engine,
-            n_decode_shards=self.n_decode_shards,
-            defense=self.defense,
-        )
+        shard = LevelShard(oracle, domain.size, defense=self.defense)
         broadcast = RoundBroadcast(
             party=party,
             level=int(level),
@@ -382,42 +326,29 @@ class AggregationServer:
         self._round(round_id)
 
     def ingest(self, round_id: int, payload: bytes) -> int:
-        """Decode one wire batch into the round's shard; returns its size."""
+        """Count one wire batch into the round's shard; returns its size.
+
+        The same columnar step the network gateway runs, in process:
+        summarise the payload into its exact support counts, then
+        :meth:`ingest_summary`.
+        """
         # Round-state errors take precedence over codec errors (and save
         # the decode work): a corrupt payload for a closed round reports
         # the closed round, as it always has.
         self.check_open(round_id)
-        return self.ingest_decoded(
-            round_id, decode_report_batch(payload), payload_bits=wire_bits(payload)
-        )
+        summary = summarize_report_payload(payload)
+        return self.ingest_summary(round_id, summary, payload_bits=wire_bits(payload))
 
-    def ingest_decoded(
-        self, round_id: int, batch: ReportBatch, *, payload_bits: int
+    def ingest_summary(
+        self, round_id: int, summary: BatchSummary, *, payload_bits: int
     ) -> int:
-        """Fold an already-decoded batch into a round, accounted at ``payload_bits``.
-
-        The accumulate-and-account half of :meth:`ingest`, for callers that
-        already hold the decoded batch.  ``payload_bits`` must be the exact
-        wire size of the batch's canonical encoding, which keeps the
-        accounting identical to :meth:`ingest`.
-        """
-        round_ = self._round(round_id)
-        self._validate_batch(round_, batch)
-        n = round_.shard.ingest(batch.reports)
-        self._account_batch(round_, batch.party, payload_bits)
-        if self._m_reports is not None:
-            self._m_reports.inc(n)
-        return n
-
-    def ingest_summary(self, round_id: int, summary, *, payload_bits: int) -> int:
         """Fold a columnar batch summary into a round, accounted at ``payload_bits``.
 
-        The columnar twin of :meth:`ingest_decoded`: the engine worker has
-        already decoded *and* counted the wire batch
+        The summary carries the wire batch already decoded *and* counted
         (:func:`repro.service.columnar.summarize_report_payload`), so only
         its ``O(domain_size)`` count vector reaches the accumulator.
-        ``payload_bits`` is still the exact wire size of the batch the
-        summary stands for — transcripts cannot tell the two paths apart.
+        ``payload_bits`` is the exact wire size of the batch the summary
+        stands for, so every execution mode accounts identically.
         """
         round_ = self._round(round_id)
         self._validate_batch(round_, summary)
@@ -474,7 +405,7 @@ class AggregationServer:
         )
 
     @staticmethod
-    def _validate_batch(round_: ServiceRound, batch: ReportBatch) -> None:
+    def _validate_batch(round_: ServiceRound, batch: BatchSummary) -> None:
         if batch.party != round_.party:
             raise ServiceError(
                 f"round {round_.round_id} belongs to party {round_.party!r}, "

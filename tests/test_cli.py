@@ -204,6 +204,14 @@ class TestServe:
         # Two parties (RDB) × two rounds.
         assert len(report_a["rounds"]) == 4
 
+    @pytest.mark.parametrize("flag", [["--backend", "thread"], ["--workers", "2"]])
+    def test_raw_rounds_reject_engine_flags(self, flag, capsys):
+        # The in-process server counts every batch inline: an engine
+        # flag would be silently meaningless.
+        assert main(self.ARGS + flag) == 2
+        err = capsys.readouterr().err
+        assert flag[0] in err and "Traceback" not in err
+
 
 SCENARIO_DOC = {
     "name": "cli-lab",

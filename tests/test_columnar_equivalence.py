@@ -1,15 +1,16 @@
-"""Columnar decode path ≡ reference fallback, bit for bit.
+"""Columnar decode path ≡ independent references, bit for bit.
 
-The columnar hot path (engine workers summarise wire batches into
-``O(domain)`` count vectors, :mod:`repro.service.columnar`) must be
-indistinguishable from the reference decode-then-ingest path in every
-observable: estimates, support counts, message transcripts, and exact
-wire-bit accounting.  This module pins that equivalence
+Every execution mode counts a batch the same way: summarise the wire
+payload into its ``O(domain)`` support counts
+(:mod:`repro.service.columnar`), then merge.  This module pins that path
+against references that do not share it, in every observable: estimates,
+support counts, message transcripts, and exact wire-bit accounting
 
-* in memory (``AggregationServer.ingest`` vs ``summarize`` +
-  ``ingest_summary``), for every registered oracle,
-* over a **live TCP gateway** (which always decodes columnar) vs an
-  in-process ``AggregationServer`` fed the same batches, for every
+* in memory: ``AggregationServer.ingest`` vs the oracle's own
+  ``support_counts`` summed over the decoded stream and estimated once,
+  for every registered oracle,
+* over a **live TCP gateway** (decode fanned out over engine workers) vs
+  an in-process ``AggregationServer`` fed the same batches, for every
   registered oracle, on the serial and thread decode backends.
 
 CI runs this module as its own smoke step: a kernel regression that
@@ -22,11 +23,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.federation.messages import MessageDirection
 from repro.ldp import available_oracles, make_oracle
+from repro.ldp.packed import PackedUnaryReports
 from repro.net import start_gateway
 from repro.service.clients import ClientPool
-from repro.service.columnar import BatchSummary, summarize_report_payload
-from repro.service.protocol import encode_report_batch, wire_bits
+from repro.service.columnar import summarize_report_payload
+from repro.service.protocol import decode_report_batch, encode_report_batch, wire_bits
 from repro.service.server import AggregationServer
 from repro.trie.candidate_domain import CandidateDomain
 
@@ -74,45 +77,55 @@ def _transcript(server_or_remote):
 
 
 # --------------------------------------------------------------------------- #
-# In-memory: ingest ≡ summarize + ingest_summary
+# In-memory: ingest ≡ the oracle's support_counts summed over the stream
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("oracle_name", available_oracles())
-def test_summary_ingest_is_bit_identical_in_memory(oracle_name):
+def test_server_ingest_equals_summed_support_counts(oracle_name):
     payloads = _wire_batches(oracle_name)
     oracle = make_oracle(oracle_name, epsilon=EPSILON)
     domain = _domain()
 
-    reference = AggregationServer()
-    ref_round = reference.open_round(
+    server = AggregationServer()
+    round_id = server.open_round(
         party="party-a", level=N_BITS, oracle=oracle, domain=domain
     )
-    columnar = AggregationServer()
-    col_round = columnar.open_round(
-        party="party-a", level=N_BITS, oracle=oracle, domain=domain
-    )
-
+    expected_counts = np.zeros(domain.size, dtype=np.int64)
+    expected_users = 0
     for payload in payloads:
-        n_ref = reference.ingest(ref_round, payload)
-        summary = summarize_report_payload(payload)
-        assert isinstance(summary, BatchSummary)
-        n_col = columnar.ingest_summary(
-            col_round, summary, payload_bits=wire_bits(payload)
+        batch = decode_report_batch(payload)
+        # Unary batches are counted from the dense matrix, so the packed
+        # kernel the server runs is checked against a plain column sum.
+        reports = (
+            batch.reports.unpack()
+            if isinstance(batch.reports, PackedUnaryReports)
+            else batch.reports
         )
-        assert n_col == n_ref
+        expected_counts += oracle.support_counts(reports, domain.size)
+        expected_users += oracle.n_reports(reports)
+        assert server.ingest(round_id, payload) == batch.n_users
 
-    _assert_results_identical(
-        reference.finalize_round(ref_round), columnar.finalize_round(col_round)
+    result = server.finalize_round(round_id)
+    np.testing.assert_array_equal(result.support_counts, expected_counts)
+    assert result.n_users == expected_users == N_USERS
+    np.testing.assert_array_equal(
+        result.estimated_counts,
+        oracle.estimate_counts(expected_counts, expected_users, domain.size),
     )
-    assert columnar.upload_bits() == reference.upload_bits()
-    assert columnar.broadcast_bits() == reference.broadcast_bits()
-    assert _transcript(columnar) == _transcript(reference)
+    upload_bits = sum(wire_bits(payload) for payload in payloads)
+    assert server.upload_bits() == upload_bits
+    assert result.metadata["upload_bits"] == upload_bits
+    assert result.metadata["n_batches"] == len(payloads)
+    uploads = [m for m in _transcript(server) if m[2] == "report_batch"]
+    assert uploads == [
+        (MessageDirection.PARTY_TO_SERVER, "party-a", "report_batch",
+         wire_bits(payload), N_BITS)
+        for payload in payloads
+    ]
 
 
 @pytest.mark.parametrize("oracle_name", available_oracles())
 def test_summary_counts_equal_decoded_support_counts(oracle_name):
     """Worker-side invariant: a summary IS the batch's support counts."""
-    from repro.service.protocol import decode_report_batch
-
     for payload in _wire_batches(oracle_name):
         batch = decode_report_batch(payload)
         summary = summarize_report_payload(payload)
@@ -130,7 +143,7 @@ def test_summary_counts_equal_decoded_support_counts(oracle_name):
 
 
 # --------------------------------------------------------------------------- #
-# Live gateway (columnar) ≡ in-process AggregationServer (decode-then-ingest)
+# Live gateway (engine fan-out) ≡ in-process AggregationServer
 # --------------------------------------------------------------------------- #
 def _run_round_on(server, oracle_name: str):
     oracle = make_oracle(oracle_name, epsilon=EPSILON)
@@ -152,8 +165,7 @@ def _run_round_on(server, oracle_name: str):
 def test_gateway_columnar_equals_fallback(oracle_name, backend):
     workers = 2 if backend == "thread" else None
     ref_result, ref_transcript, ref_up, ref_down = _run_round_on(
-        AggregationServer(decode_backend=backend, decode_workers=workers),
-        oracle_name,
+        AggregationServer(), oracle_name
     )
     with start_gateway(decode_backend=backend, decode_workers=workers) as columnar:
         col_result, col_transcript, col_up, col_down = _run_round_on(

@@ -103,39 +103,30 @@ class TestVectorizedDecode:
             fast, self._reference_support_counts(oracle, reports, domain_size)
         )
 
-    def test_chunking_boundaries_are_exact(self, monkeypatch):
-        """Force tiny candidate chunks; results must not change."""
+    @pytest.mark.parametrize("block_elements", [301, 1 << 15, 1 << 16, 1 << 18])
+    def test_chunking_boundaries_are_exact(self, monkeypatch, block_elements):
+        """Any decode block size gives the reference counts exactly.
+
+        The domain is large enough that every block size splits it into
+        several candidate chunks.
+        """
         from repro.ldp import olh as olh_module
 
         oracle = OptimizedLocalHashing(epsilon=2.0)
-        values = np.random.default_rng(2).integers(0, 50, size=300)
-        reports = oracle.perturb(values, 50, np.random.default_rng(3))
-        full = oracle.support_counts(reports, 50)
-        monkeypatch.setattr(olh_module, "_DECODE_BLOCK_ELEMENTS", 301)
-        assert np.array_equal(oracle.support_counts(reports, 50), full)
-
-    def test_range_decode_concatenates_to_full(self):
-        oracle = OptimizedLocalHashing(epsilon=2.0)
-        values = np.random.default_rng(4).integers(0, 64, size=500)
-        reports = oracle.perturb(values, 64, np.random.default_rng(5))
-        full = oracle.support_counts(reports, 64)
-        parts = [
-            oracle.support_counts_range(reports, start, stop)
-            for start, stop in [(0, 10), (10, 41), (41, 64)]
-        ]
-        assert np.array_equal(np.concatenate(parts), full)
+        domain_size = 1_200
+        values = np.random.default_rng(2).integers(0, domain_size, size=300)
+        reports = oracle.perturb(values, domain_size, np.random.default_rng(3))
+        monkeypatch.setattr(olh_module, "_DECODE_BLOCK_ELEMENTS", block_elements)
+        assert np.array_equal(
+            oracle.support_counts(reports, domain_size),
+            self._reference_support_counts(oracle, reports, domain_size),
+        )
 
     def test_empty_batch(self):
         oracle = OptimizedLocalHashing(epsilon=2.0)
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert not oracle.support_counts(empty, 16).any()
         assert oracle.n_reports(empty) == 0
-
-    def test_invalid_range(self):
-        oracle = OptimizedLocalHashing(epsilon=2.0)
-        reports = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-        with pytest.raises(ValueError, match="range"):
-            oracle.support_counts_range(reports, 5, 2)
 
 
 class TestCosts:

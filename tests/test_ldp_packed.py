@@ -129,26 +129,16 @@ def test_sample_parity_fuzz(n, d, seed, epsilon):
 
 
 # --------------------------------------------------------------------------- #
-# accumulate_packed ≡ the dense fallback, for every unary oracle
+# support_counts(packed) ≡ support_counts(dense), for every unary oracle
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
-def test_accumulate_packed_matches_dense_accumulate(oracle_name):
+def test_packed_support_counts_match_dense(oracle_name):
     oracle = make_oracle(oracle_name, epsilon=2.0)
     d = 21
-    counts = np.arange(d, dtype=np.int64)
     reports = _random_packed(np.random.default_rng(3), 50, d)
-    via_packed = oracle.accumulate_packed(counts, reports, d)
-    via_dense = oracle.accumulate(counts, reports.unpack(), d)
-    np.testing.assert_array_equal(via_packed, via_dense)
-    # The accumulator argument itself is never mutated.
-    np.testing.assert_array_equal(counts, np.arange(d, dtype=np.int64))
-
-
-def test_accumulate_packed_rejects_bad_accumulator_shape():
-    oracle = make_oracle("oue", epsilon=2.0)
-    reports = _random_packed(np.random.default_rng(0), 4, 9)
-    with pytest.raises(ValueError, match="accumulator"):
-        oracle.accumulate_packed(np.zeros(8, dtype=np.int64), reports, 9)
+    np.testing.assert_array_equal(
+        oracle.support_counts(reports, d), oracle.support_counts(reports.unpack(), d)
+    )
 
 
 def test_support_counts_rejects_domain_mismatch():

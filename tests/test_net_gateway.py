@@ -174,7 +174,7 @@ class TestStructuredErrors:
         [
             ("epsilon", -1.0),       # check_positive refuses
             ("epsilon", 0.0),
-            ("domain_size", 0),      # make_shard refuses
+            ("domain_size", 0),      # LevelShard refuses
             ("oracle_name", "mystery"),  # no such oracle registered
         ],
     )
@@ -384,24 +384,6 @@ class TestRemoteAggregationServer:
         ]
         assert remote_server.upload_bits() == local_server.upload_bits()
         assert remote_server.broadcast_bits() == local_server.broadcast_bits()
-
-    def test_raw_payload_ingest_matches_server(self, gateway):
-        domain = CandidateDomain.full_domain(3)
-        oracle = make_oracle("krr", 4.0)
-        server = ClusterCoordinator(gateway.address)
-        round_id = server.open_round(
-            party="alpha", level=3, oracle=oracle, domain=domain
-        )
-        (batch,) = iter_perturbed_batches(
-            oracle, np.zeros(10, dtype=np.int64), domain.size, 1,
-            batch_size=16, party="alpha", level=3,
-        )
-        payload = encode_report_batch(batch)
-        assert server.ingest(round_id, payload) == 10
-        assert server.upload_bits() == wire_bits(payload)
-        estimate = server.finalize_round(round_id)
-        assert estimate.n_users == 10
-        server.shutdown()
 
     def test_pickles_without_its_socket(self, gateway):
         import pickle

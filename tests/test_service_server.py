@@ -16,7 +16,7 @@ from repro.service.server import (
     ServiceRoundRunner,
     run_in_service_mode,
 )
-from repro.service.shards import make_shard
+from repro.service.shards import LevelShard
 from repro.trie.candidate_domain import CandidateDomain
 
 
@@ -103,8 +103,10 @@ class TestAccounting:
         domain = _domain(4)
         values = np.random.default_rng(0).integers(0, domain.size, size=200)
         reports = oracle.perturb(values, domain.size, np.random.default_rng(1))
-        edge = make_shard(oracle, domain.size)
-        edge.ingest(reports)
+        edge = LevelShard(oracle, domain.size)
+        edge.ingest_counts(
+            oracle.support_counts(reports, domain.size), oracle.n_reports(reports)
+        )
         server = AggregationServer()
         round_id = server.open_round(party="a", level=4, oracle=oracle, domain=domain)
         server.merge_shard(round_id, edge, party="edge-0")
@@ -258,10 +260,11 @@ class TestStructuredErrorCodes:
         assert excinfo.value.code == "bad_mode"
 
 
-class TestIngestDecoded:
+class TestIngestSummary:
     def test_matches_ingest_accounting_exactly(self):
-        """The gateway's decode/accumulate seam is account-identical."""
-        from repro.service.protocol import decode_report_batch, wire_bits
+        """The gateway's summarise/accumulate seam is account-identical."""
+        from repro.service.columnar import summarize_report_payload
+        from repro.service.protocol import wire_bits
 
         helper = TestProtocolErrors()
         oracle = make_oracle("krr", epsilon=2.0)
@@ -271,8 +274,8 @@ class TestIngestDecoded:
         whole, split = AggregationServer(), AggregationServer()
         rid_whole = whole.open_round(party="a", level=3, oracle=oracle, domain=domain)
         rid_split = split.open_round(party="a", level=3, oracle=oracle, domain=domain)
-        assert whole.ingest(rid_whole, payload) == split.ingest_decoded(
-            rid_split, decode_report_batch(payload), payload_bits=wire_bits(payload)
+        assert whole.ingest(rid_whole, payload) == split.ingest_summary(
+            rid_split, summarize_report_payload(payload), payload_bits=wire_bits(payload)
         )
         assert whole.upload_bits() == split.upload_bits()
         assert [

@@ -6,9 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SerialBackend, ThreadBackend
 from repro.ldp.registry import available_oracles, make_oracle
-from repro.service.shards import LevelShard, OLHDecodeShard, ShardError, make_shard
+from repro.service.shards import LevelShard, ShardError
 
 DOMAIN = 29
 N_USERS = 400
@@ -19,6 +18,15 @@ def _perturbed(oracle_name: str):
     values = np.random.default_rng(2).integers(0, DOMAIN, size=N_USERS)
     reports = oracle.perturb(values, DOMAIN, np.random.default_rng(3))
     return oracle, reports
+
+
+def _ingest(shard: LevelShard, reports) -> None:
+    """Fold a report batch into ``shard`` the way the server does: exact
+    support counts in, via the shard's one entry point."""
+    oracle = shard.oracle
+    shard.ingest_counts(
+        oracle.support_counts(reports, shard.domain_size), oracle.n_reports(reports)
+    )
 
 
 def _slice_reports(reports, start: int, stop: int):
@@ -44,14 +52,14 @@ class TestMergeAlgebra:
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_any_partition_equals_whole(self, oracle_name):
         oracle, reports = _perturbed(oracle_name)
-        whole = make_shard(oracle, DOMAIN)
-        whole.ingest(reports)
+        whole = LevelShard(oracle, DOMAIN)
+        _ingest(whole, reports)
         rng = np.random.default_rng(11)
         for partition in _random_partitions(rng, N_USERS):
             pieces = []
             for start, stop in partition:
-                shard = make_shard(oracle, DOMAIN)
-                shard.ingest(_slice_reports(reports, start, stop))
+                shard = LevelShard(oracle, DOMAIN)
+                _ingest(shard, _slice_reports(reports, start, stop))
                 pieces.append(shard)
             merged = pieces[0]
             for shard in pieces[1:]:
@@ -62,14 +70,14 @@ class TestMergeAlgebra:
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_merge_is_commutative(self, oracle_name):
         oracle, reports = _perturbed(oracle_name)
-        left, right = make_shard(oracle, DOMAIN), make_shard(oracle, DOMAIN)
-        left.ingest(_slice_reports(reports, 0, 150))
-        right.ingest(_slice_reports(reports, 150, N_USERS))
-        ab = make_shard(oracle, DOMAIN)
-        ab.ingest(_slice_reports(reports, 0, 150))
+        left, right = LevelShard(oracle, DOMAIN), LevelShard(oracle, DOMAIN)
+        _ingest(left, _slice_reports(reports, 0, 150))
+        _ingest(right, _slice_reports(reports, 150, N_USERS))
+        ab = LevelShard(oracle, DOMAIN)
+        _ingest(ab, _slice_reports(reports, 0, 150))
         ab.merge(right)
-        ba = make_shard(oracle, DOMAIN)
-        ba.ingest(_slice_reports(reports, 150, N_USERS))
+        ba = LevelShard(oracle, DOMAIN)
+        _ingest(ba, _slice_reports(reports, 150, N_USERS))
         ba.merge(left)
         assert np.array_equal(ab.counts, ba.counts)
         assert ab.n_users == ba.n_users
@@ -77,61 +85,36 @@ class TestMergeAlgebra:
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_batched_ingest_equals_one_shot(self, oracle_name):
         oracle, reports = _perturbed(oracle_name)
-        whole = make_shard(oracle, DOMAIN)
-        whole.ingest(reports)
-        streamed = make_shard(oracle, DOMAIN)
+        whole = LevelShard(oracle, DOMAIN)
+        _ingest(whole, reports)
+        streamed = LevelShard(oracle, DOMAIN)
         for start in range(0, N_USERS, 64):
-            streamed.ingest(_slice_reports(reports, start, min(start + 64, N_USERS)))
+            _ingest(streamed, _slice_reports(reports, start, min(start + 64, N_USERS)))
         assert np.array_equal(streamed.counts, whole.counts)
         assert streamed.n_batches == 7
 
 
-class TestOLHShardedDecode:
-    def test_backend_decode_matches_inline(self):
-        oracle, reports = _perturbed("olh")
-        inline = make_shard(oracle, DOMAIN)
-        inline.ingest(reports)
-        for backend in (SerialBackend(), ThreadBackend(3)):
-            with backend:
-                sharded = make_shard(
-                    oracle, DOMAIN, decode_backend=backend, n_decode_shards=4
-                )
-                assert isinstance(sharded, OLHDecodeShard)
-                sharded.ingest(reports)
-                assert np.array_equal(sharded.counts, inline.counts)
-
-    def test_sharded_decode_survives_pickle(self):
-        import pickle
-
-        oracle, reports = _perturbed("olh")
-        shard = make_shard(oracle, DOMAIN, decode_backend="thread", n_decode_shards=3)
-        shard.ingest(reports)
-        clone = pickle.loads(pickle.dumps(shard))
-        assert np.array_equal(clone.counts, shard.counts)
-        clone.ingest(reports)  # backend is respawned lazily after unpickling
-        assert clone.n_users == 2 * N_USERS
-
-    def test_non_olh_ignores_decode_backend(self):
-        oracle = make_oracle("krr", epsilon=2.0)
-        shard = make_shard(oracle, DOMAIN, decode_backend="thread")
-        assert type(shard) is LevelShard
-
-
 class TestCompatibilityChecks:
     def test_oracle_mismatch(self):
-        krr = make_shard(make_oracle("krr", 2.0), DOMAIN)
-        oue = make_shard(make_oracle("oue", 2.0), DOMAIN)
+        krr = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        oue = LevelShard(make_oracle("oue", 2.0), DOMAIN)
         with pytest.raises(ShardError, match="oracle"):
             krr.merge(oue)
 
     def test_epsilon_mismatch(self):
-        a = make_shard(make_oracle("krr", 2.0), DOMAIN)
-        b = make_shard(make_oracle("krr", 3.0), DOMAIN)
+        a = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        b = LevelShard(make_oracle("krr", 3.0), DOMAIN)
         with pytest.raises(ShardError, match="epsilon"):
             a.merge(b)
 
     def test_domain_mismatch(self):
-        a = make_shard(make_oracle("krr", 2.0), DOMAIN)
-        b = make_shard(make_oracle("krr", 2.0), DOMAIN + 1)
+        a = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        b = LevelShard(make_oracle("krr", 2.0), DOMAIN + 1)
         with pytest.raises(ShardError, match="domain"):
             a.merge(b)
+
+    def test_ingest_counts_rejects_a_wrong_shape_vector(self):
+        shard = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        with pytest.raises(ShardError, match="shape"):
+            shard.ingest_counts(np.zeros(DOMAIN - 1, dtype=np.int64), 1)
+        assert shard.n_users == 0 and shard.n_batches == 0
