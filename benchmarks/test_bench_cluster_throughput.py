@@ -4,7 +4,7 @@ Stands up in-process shard gateways (1 then 2 — the cheapest honest
 scaling probe) and drives each topology with the same
 :func:`~repro.cluster.loadgen.run_loadgen` workload through
 :class:`~repro.cluster.coordinator.ClusterConnection` routing, recording
-per shard count, from the fastest of three identical runs:
+per shard count:
 
 * ``reports_per_sec`` — end-to-end throughput (client perturb + encode +
   ring routing + TCP + shard decode + cross-shard merge barrier),
@@ -40,7 +40,6 @@ ROUNDS = 2
 BATCH_SIZE = 2_048
 LEVEL = 6
 CONNECTIONS = 2
-REPEATS = 3
 
 SHARD_COUNTS = (1, 2)
 
@@ -79,27 +78,19 @@ def test_cluster_throughput_profile(calibration):
             for _ in range(n_shards)
         ]
         try:
-            # Best-of-3: one run moves ~40 ms of work, so a single scheduler
-            # hiccup would otherwise set the recorded throughput.
-            report = min(
-                (
-                    run_loadgen(
-                        ",".join(handle.address for handle in handles),
-                        dataset="rdb",
-                        scale="small",
-                        level=LEVEL,
-                        rounds=ROUNDS,
-                        batch_size=BATCH_SIZE,
-                        users_per_round=USERS_PER_ROUND,
-                        connections=CONNECTIONS,
-                        backend=backend,
-                        max_workers=workers,
-                        seed=0,
-                        include_gateway_stats=False,
-                    )
-                    for _ in range(REPEATS)
-                ),
-                key=lambda run: run.elapsed_seconds,
+            report = run_loadgen(
+                ",".join(handle.address for handle in handles),
+                dataset="rdb",
+                scale="small",
+                level=LEVEL,
+                rounds=ROUNDS,
+                batch_size=BATCH_SIZE,
+                users_per_round=USERS_PER_ROUND,
+                connections=CONNECTIONS,
+                backend=backend,
+                max_workers=workers,
+                seed=0,
+                include_gateway_stats=False,
             )
         finally:
             for handle in handles:

@@ -29,10 +29,11 @@ from repro.core.estimation import RoundRunner
 from repro.federation.messages import Message, MessageDirection
 from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.service.clients import iter_perturbed_batches
-from repro.service.columnar import BatchSummary, summarize_report_payload
+from repro.service.columnar import BatchSummary, summarize_batch
 from repro.service.protocol import (
     ReportBatch,
     RoundBroadcast,
+    decode_report_batch,
     encode_broadcast,
     encode_report_batch,
     wire_bits,
@@ -336,8 +337,14 @@ class AggregationServer:
         # the decode work): a corrupt payload for a closed round reports
         # the closed round, as it always has.
         self.check_open(round_id)
-        summary = summarize_report_payload(payload)
-        return self.ingest_summary(round_id, summary, payload_bits=wire_bits(payload))
+        batch = decode_report_batch(payload)
+        # A batch addressed to the wrong round is refused on its header,
+        # before the O(n·d) count, and with the structured mismatch error
+        # even when its header also declares an unusable oracle.
+        self._validate_batch(self._round(round_id), batch)
+        return self.ingest_summary(
+            round_id, summarize_batch(batch), payload_bits=wire_bits(payload)
+        )
 
     def ingest_summary(
         self, round_id: int, summary: BatchSummary, *, payload_bits: int
@@ -405,7 +412,9 @@ class AggregationServer:
         )
 
     @staticmethod
-    def _validate_batch(round_: ServiceRound, batch: BatchSummary) -> None:
+    def _validate_batch(
+        round_: ServiceRound, batch: ReportBatch | BatchSummary
+    ) -> None:
         if batch.party != round_.party:
             raise ServiceError(
                 f"round {round_.round_id} belongs to party {round_.party!r}, "

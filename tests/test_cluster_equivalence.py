@@ -82,7 +82,8 @@ def _assert_bit_identical(service, network):
 
 
 #: TAP over k-RR plus an OLH-decoding mechanism: OLH exercises every
-#: shard's sharded decode path under the cluster's batch routing.
+#: shard's costliest columnar count (the blocked hash scan) under the
+#: cluster's batch routing.
 CASES = [(TAPMechanism, "krr"), (TAPSMechanism, "olh")]
 
 

@@ -385,40 +385,6 @@ class TestRemoteAggregationServer:
         assert remote_server.upload_bits() == local_server.upload_bits()
         assert remote_server.broadcast_bits() == local_server.broadcast_bits()
 
-    def test_raw_payload_ingest_matches_server(self, gateway):
-        """One pre-encoded payload counts the same on the gateway and in
-        ``AggregationServer.ingest``."""
-        domain = CandidateDomain.full_domain(3)
-        oracle = make_oracle("krr", 4.0)
-        (batch,) = iter_perturbed_batches(
-            oracle, np.zeros(10, dtype=np.int64), domain.size, 1,
-            batch_size=16, party="alpha", level=3,
-        )
-        payload = encode_report_batch(batch)
-
-        local = AggregationServer()
-        local_round = local.open_round(
-            party="alpha", level=3, oracle=oracle, domain=domain
-        )
-        assert local.ingest(local_round, payload) == 10
-        local_estimate = local.finalize_round(local_round)
-
-        with GatewayConnection(gateway.address) as connection:
-            remote_round, _ = connection.open_round(_broadcast(domain))
-            connection.send_batch(remote_round, payload)
-            remote_estimate = connection.finalize(remote_round)
-
-        assert remote_estimate.n_users == local_estimate.n_users == 10
-        assert (
-            remote_estimate.estimated_counts.tobytes()
-            == local_estimate.estimated_counts.tobytes()
-        )
-        assert (
-            remote_estimate.metadata["upload_bits"]
-            == local.upload_bits()
-            == wire_bits(payload)
-        )
-
     def test_pickles_without_its_socket(self, gateway):
         import pickle
 

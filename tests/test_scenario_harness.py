@@ -112,7 +112,9 @@ class TestBackendDeterminism:
         assert threaded.events == serial.events
 
     def test_thread_backend_matches_serial_under_olh(self):
-        # OLH is the oracle whose decode actually fans out on the engine.
+        # The tracker's server counts every batch inline, so the backend
+        # override is inert here; this pins that it stays so (see the
+        # ROADMAP item on dropping or documenting it).
         scenario = _scenario(n_steps=4)
         serial = _run(scenario, oracle="olh", seed=11)
         threaded = _run(scenario, oracle="olh", seed=11, backend="thread", max_workers=2)

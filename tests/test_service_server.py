@@ -191,6 +191,17 @@ class TestProtocolErrors:
         with pytest.raises(ServiceError, match="domain size"):
             server.ingest(round_id, self._payload(oracle, _domain(4)))
 
+    def test_header_mismatch_is_refused_before_the_count(self):
+        """The round check reads the header only: a mismatched batch whose
+        header also declares an unusable oracle reports the mismatch, not
+        a wire error from counting it."""
+        server, oracle, domain, round_id = self._open()
+        payload = self._payload(oracle, domain, epsilon=-1.0)
+        with pytest.raises(ServiceError) as excinfo:
+            server.ingest(round_id, payload)
+        assert excinfo.value.code == "epsilon_mismatch"
+        assert server.upload_bits() == 0
+
     def test_aggregate_mode_refused(self):
         runner = ServiceRoundRunner(party="a", batch_size=10)
         with pytest.raises(ServiceError, match="per_user"):
